@@ -23,12 +23,26 @@ exact functionals into scale times coherent part, which is also what
 single-gamble domains, used as an independent oracle in the test
 suite, agrees on all calibration instances.
 
+Every program is solved in its dual form, with one row per outcome
+however many gambles are assessed (Walley 1991, section 3.1): maximise
+``t*alpha + sum_i lambda_i l(f_i) + sum_k mu_k v_k`` subject to
+``alpha + sum_i lambda_i f_i(w) + sum_k mu_k h_k(w) <= g(w)`` for every
+outcome ``w``, with ``lambda >= 0`` and ``alpha``, ``mu`` free, where
+``t`` is the required total mass, ``g`` the gamble being minimised and
+``h_k`` the pinned gambles with values ``v_k``.  The dominating mass
+functional is read off the row duals of an optimum, so a positive
+sure-loss verdict and an attaining functional are the duals of the
+corresponding program.  Shifting ``alpha`` by ``min g`` makes every
+right-hand side nonnegative, so the simplex starts from the origin and
+skips phase one on all programs but the upper end of an attainment
+interval.
+
 Negative verdicts carry witnesses: a sure-loss combination of domain
-gambles with integer multiplicities, recovered from the dual ray of
-the infeasible dominance program and re-verified by substitution; a
-domain gamble whose natural extension exceeds its assessed value; a
-domain gamble whose pinned program is infeasible; or the pair of
-gambles whose total-mass intervals fail to intersect.
+gambles with integer multiplicities, read off the ray along which the
+dual of the dominance program is unbounded and re-verified by
+substitution; a domain gamble whose natural extension exceeds its
+assessed value; a domain gamble whose pinned program is infeasible; or
+the pair of gambles whose total-mass intervals fail to intersect.
 """
 
 from __future__ import annotations
@@ -41,9 +55,9 @@ from typing import Iterable
 
 from . import simplex
 from .assessment import Assessment, ExactDecomposition, MassFunctional
-from .errors import NotExactError, SureLossError
+from .errors import InfeasibleTotalError, NotExactError, SureLossError
 from .gambles import Gamble
-from .simplex import Constraint, LinearProgram, LPStatus, Relation
+from .simplex import Constraint, LinearProgram, LPOutcome, LPStatus, Relation
 from .verdict import Verdict
 
 __all__ = [
@@ -106,52 +120,72 @@ class NormIntervalGap:
     upper: Fraction
 
 
-def _mass_lp(
+def _dual_program(
     assessment: Assessment,
     objective: tuple[Fraction, ...],
     total: Fraction | None,
     pinned: Iterable[tuple[Gamble, Fraction]] = (),
-) -> LinearProgram:
-    """Masses >= 0 dominating the assessment, with optional total and pins.
+) -> tuple[LPOutcome, Fraction | None]:
+    """Minimise ``objective`` over the masses dominating the assessment.
 
-    The total-mass equality, when present, is always the first row, and
-    the dominance rows follow in domain order: sure-loss certificates
-    rely on this layout.
+    The masses are nonnegative, have the given total when it is not
+    None, and take the pinned values at the pinned gambles.  The program
+    is solved in its dual form: one ``>=`` row per outcome, columns
+    ``alpha`` (free, present with a total), one ``lambda >= 0`` per domain
+    gamble and one free ``mu`` per pinned gamble.  Returns the dual
+    outcome and the minimum (None unless the dual is OPTIMAL, whose row
+    duals are then a minimising mass).  An UNBOUNDED dual means that no
+    mass qualifies; its ray lists ``alpha``, then the ``lambda`` in domain
+    order.  With a total, ``alpha`` is shifted by ``min objective`` so
+    that the origin is feasible and the dual cannot be INFEASIBLE.
     """
-    m = assessment.space.size
-    rows: list[Constraint] = []
+    pinned = tuple(pinned)
+    entries = assessment.entries + pinned
+    columns = [gamble.values for gamble, _ in entries]
+    prices = [value for _, value in entries]
+    nonnegative = [True] * len(assessment.entries) + [False] * len(pinned)
+    shift = offset = ZERO
     if total is not None:
-        rows.append(Constraint((ONE,) * m, Relation.EQ, total))
-    for gamble, value in assessment.entries:
-        rows.append(Constraint(gamble.values, Relation.GE, value))
-    for gamble, value in pinned:
-        rows.append(Constraint(gamble.values, Relation.EQ, value))
-    return LinearProgram(objective, tuple(rows), (True,) * m)
+        shift = min(objective)
+        offset = total * shift
+        columns.insert(0, (ONE,) * assessment.space.size)
+        prices.insert(0, total)
+        nonnegative.insert(0, False)
+    rows = tuple(
+        Constraint(tuple(-col[w] for col in columns), Relation.GE, shift - c)
+        for w, c in enumerate(objective)
+    )
+    program = LinearProgram(tuple(-p for p in prices), rows, tuple(nonnegative))
+    outcome = simplex.solve(program)
+    if outcome.status is not LPStatus.OPTIMAL:
+        return outcome, None
+    return outcome, offset - outcome.value
 
 
 def avoids_sure_loss(assessment: Assessment) -> Verdict:
     """Is some probability mass functional above the assessment?
 
-    A positive verdict carries such a dominating mass functional.  A
-    negative verdict carries a :class:`SureLossWitness`, rebuilt from
-    the dual ray of the infeasible dominance program, scaled to integer
-    multiplicities, and re-verified by direct substitution.
+    A positive verdict carries such a dominating mass functional, the
+    row duals of the dominance program.  A negative verdict carries a
+    :class:`SureLossWitness`, rebuilt from the ray of the unbounded dual
+    program, scaled to integer multiplicities, and re-verified by direct
+    substitution.
     """
     m = assessment.space.size
-    outcome = simplex.solve(_mass_lp(assessment, (ZERO,) * m, ONE))
+    outcome, _ = _dual_program(assessment, (ZERO,) * m, ONE)
     if outcome.status is LPStatus.OPTIMAL:
-        return Verdict(True, MassFunctional(assessment.space, outcome.optimizer))
-    certificate = outcome.certificate
-    # Row 0 is the total-mass equality; rows 1.. align with the entries.
-    coefficients = certificate[1:]
+        return Verdict(True, MassFunctional(assessment.space, outcome.duals))
+    # Column 0 is alpha; columns 1.. align with the entries.
+    coefficients = outcome.ray[1:]
     scale = math.lcm(*(c.denominator for c in coefficients)) if coefficients else 1
+    counts = [int(c * scale) for c in coefficients]
+    common = math.gcd(*counts) or 1
     gambles: list[Gamble] = []
     multiplicities: list[int] = []
-    for (gamble, _), coeff in zip(assessment.entries, coefficients):
-        count = int(coeff * scale)
+    for (gamble, _), count in zip(assessment.entries, counts):
         if count > 0:
             gambles.append(gamble)
-            multiplicities.append(count)
+            multiplicities.append(count // common)
     if gambles:
         combination = gambles[0] * multiplicities[0]
         for g, k in zip(gambles[1:], multiplicities[1:]):
@@ -181,11 +215,10 @@ def natural_extension_prevision(assessment: Assessment, gamble: Gamble) -> Fract
     >>> natural_extension_prevision(p, Gamble.make(s, [1, 1, 2]))
     Fraction(1, 1)
     """
-    outcome = simplex.solve(_mass_lp(assessment, gamble.values, ONE))
-    if outcome.status is LPStatus.INFEASIBLE:
+    _, value = _dual_program(assessment, gamble.values, ONE)
+    if value is None:
         raise SureLossError("assessment incurs sure loss; no natural extension exists")
-    assert outcome.status is LPStatus.OPTIMAL  # the simplex is compact
-    return outcome.value
+    return value
 
 
 def is_coherent(assessment: Assessment) -> Verdict:
@@ -209,15 +242,15 @@ def _attainment_interval(
     all; the upper end is ``inf`` when the total mass is unbounded.
     """
     m = assessment.space.size
-    ones = (ONE,) * m
-    low = simplex.solve(_mass_lp(assessment, ones, None, [(gamble, value)]))
-    if low.status is LPStatus.INFEASIBLE:
+    pin = [(gamble, value)]
+    _, low = _dual_program(assessment, (ONE,) * m, None, pin)
+    if low is None:
         return None
-    assert low.status is LPStatus.OPTIMAL  # total mass is bounded below by zero
-    neg_ones = (-ONE,) * m
-    high = simplex.solve(_mass_lp(assessment, neg_ones, None, [(gamble, value)]))
-    upper: Fraction | float = INF if high.status is LPStatus.UNBOUNDED else -high.value
-    return low.value, upper
+    # The pinned masses exist, so the dual of the maximum is never
+    # unbounded; it is infeasible exactly when the total is unbounded.
+    high, least = _dual_program(assessment, (-ONE,) * m, None, pin)
+    upper: Fraction | float = INF if high.status is LPStatus.INFEASIBLE else -least
+    return low, upper
 
 
 @functools.lru_cache(maxsize=512)
@@ -313,10 +346,15 @@ def extension_minimum(assessment: Assessment, gamble: Gamble, total: Fraction) -
 
     Callers that already know the norm use this to avoid recomputing
     it; :func:`natural_extension_exact` is the checked entry point.
+    Raises :class:`InfeasibleTotalError` when no dominating mass
+    functional has that total, for instance below the norm.
     """
-    outcome = simplex.solve(_mass_lp(assessment, gamble.values, total))
-    assert outcome.status is LPStatus.OPTIMAL  # exactness makes the set nonempty
-    return outcome.value
+    _, value = _dual_program(assessment, gamble.values, total)
+    if value is None:
+        raise InfeasibleTotalError(
+            f"no mass functional of total {total} dominates the assessment"
+        )
+    return value
 
 
 def natural_extension_exact(assessment: Assessment, gamble: Gamble) -> Fraction:
@@ -377,7 +415,8 @@ def find_attaining(
 
     The targets are the assessed values when the gambles are in the
     domain, and natural-extension values otherwise.  Returns None when
-    no such functional exists (a single feasibility program).
+    no such functional exists (a single feasibility program, whose row
+    duals are the functional).
     """
     scale = norm(assessment)
     if scale == INF:
@@ -387,8 +426,7 @@ def find_attaining(
         value = assessment.value(q) if q in assessment else natural_extension_exact(assessment, q)
         targets.append((q, value))
     m = assessment.space.size
-    outcome = simplex.solve(_mass_lp(assessment, (ZERO,) * m, scale, targets))
-    if outcome.status is LPStatus.INFEASIBLE:
+    outcome, _ = _dual_program(assessment, (ZERO,) * m, scale, targets)
+    if outcome.status is not LPStatus.OPTIMAL:
         return None
-    assert outcome.status is LPStatus.OPTIMAL
-    return MassFunctional(assessment.space, outcome.optimizer)
+    return MassFunctional(assessment.space, outcome.duals)

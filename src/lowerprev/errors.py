@@ -5,6 +5,7 @@ __all__ = [
     "DomainError",
     "SureLossError",
     "NotExactError",
+    "InfeasibleTotalError",
     "ClosureBudgetError",
 ]
 
@@ -23,6 +24,10 @@ class SureLossError(ValueError):
 
 class NotExactError(ValueError):
     """An operation that needs an exact assessment got one that is not."""
+
+
+class InfeasibleTotalError(ValueError):
+    """No mass functional dominating the assessment has the requested total mass."""
 
 
 class ClosureBudgetError(RuntimeError):

@@ -185,6 +185,11 @@ def _certificate_scan(assessment: Assessment, via_inner: bool) -> MonotonicityVi
     return None
 
 
+def _check_order(n: int | float) -> None:
+    if n != INFINITE and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+        raise ValueError(f"order must be a positive integer or math.inf, got {n!r}")
+
+
 def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
     """Scan all alternating meet-sums of order up to ``n``.
 
@@ -203,9 +208,10 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
     >>> is_n_monotone(low, 3).holds
     True
     """
-    if n != INFINITE and (not isinstance(n, int) or n < 1):
-        raise ValueError(f"order must be a positive integer or math.inf, got {n!r}")
-    if n == INFINITE and assessment.is_lower_probability() and assessment.entries:
+    _check_order(n)
+    if not assessment.entries:
+        return MonotonicityReport(n, n, None)  # no alternating sum of any order
+    if n == INFINITE and assessment.is_lower_probability():
         if _is_full_powerset(assessment):
             violation = _certificate_scan(assessment, via_inner=False)
             return MonotonicityReport(n, INFINITE if violation is None else 0, violation)
@@ -236,8 +242,7 @@ def is_n_alternating(assessment: Assessment, n: int | float) -> MonotonicityRepo
     assessment over the negated domain; the direct join form is used so
     witnesses stay inside the input domain.
     """
-    if n != INFINITE and (not isinstance(n, int) or n < 1):
-        raise ValueError(f"order must be a positive integer or math.inf, got {n!r}")
+    _check_order(n)
     if n == INFINITE:
         report = is_n_monotone(conjugate(assessment), n)
         if report.violation is None:

@@ -1,15 +1,23 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lowerprev
 from lowerprev import (
     Assessment,
     Event,
     Gamble,
+    InfeasibleTotalError,
     MassFunctional,
     NotExactError,
+    Space,
     SureLossError,
     avoids_sure_loss,
     conjugate,
@@ -24,7 +32,7 @@ from lowerprev import (
     natural_extension_prevision,
     norm,
 )
-from lowerprev.consistency import CoherenceGap, UnattainableGamble
+from lowerprev.consistency import CoherenceGap, UnattainableGamble, extension_minimum
 from lowerprev.sampling import random_envelope, random_gamble
 
 from .conftest import step_extension_value
@@ -415,3 +423,149 @@ class TestExactFunctionalLaws:
             p = envelope.restrict([random_gamble(rng, abc) for _ in range(3)])
             for g, v in p.entries:
                 assert natural_extension_prevision(p, g) >= v
+
+
+class TestExtensionMinimum:
+    def test_total_below_norm_is_a_typed_error(self, step_assessment, abc):
+        assert norm(step_assessment) == 1
+        assert extension_minimum(step_assessment, Gamble.constant(abc, 2), F(1)) == 2
+        for total in (F(1, 2), F(0)):
+            with pytest.raises(InfeasibleTotalError):
+                extension_minimum(step_assessment, Gamble.constant(abc, 0), total)
+
+    def test_typed_error_survives_optimisation(self):
+        # `python -O` strips assert statements; the refusal must not be one
+        script = (
+            "from fractions import Fraction as F\n"
+            "from lowerprev import Assessment, Gamble, InfeasibleTotalError, Space\n"
+            "from lowerprev.consistency import extension_minimum\n"
+            "s = Space(('a', 'b', 'c'))\n"
+            "p = Assessment.of(s, {Gamble.make(s, [0, 1, 2]): 1, Gamble.constant(s, 1): 1})\n"
+            "try:\n"
+            "    extension_minimum(p, Gamble.constant(s, 0), F(1, 2))\n"
+            "except InfeasibleTotalError:\n"
+            "    print('refused', __debug__)\n"
+        )
+        src = str(Path(lowerprev.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "refused False"
+
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+SHAPES = pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@st.composite
+def masses_on(draw, space, total):
+    weights = draw(st.lists(st.integers(1, 4), min_size=space.size, max_size=space.size))
+    return MassFunctional(space, tuple(total * F(w, sum(weights)) for w in weights))
+
+
+@st.composite
+def assessments(draw, tall: bool, envelope: bool = False):
+    """More gambles than outcomes when ``tall``, fewer otherwise.
+
+    Either a lower envelope of one to three masses of a common total,
+    restricted to the gambles (exact), or one probability's expectations
+    moved by small offsets (sure loss, coherence and incoherence all
+    come up).
+    """
+    m = draw(st.integers(2, 4))
+    k = draw(st.integers(m + 1, m + 3) if tall else st.integers(1, m - 1))
+    space = Space(tuple("abcd"[:m]))
+    rows = draw(st.lists(st.tuples(*[SMALL] * m), min_size=k, max_size=k, unique=True))
+    gambles = [Gamble(space, row) for row in rows]
+    if envelope:
+        total = draw(st.sampled_from([F(1, 2), F(1), F(2)]))
+        members = draw(st.lists(masses_on(space, total), min_size=1, max_size=3))
+        return Assessment.of(space, ((g, min(q(g) for q in members)) for g in gambles))
+    mass = draw(masses_on(space, F(1)))
+    # below the mass the assessment avoids sure loss; raised, it may not
+    raised = draw(st.booleans())
+    offsets = st.sampled_from([F(-1), F(-1, 2), F(0), F(0)] + [F(1, 4), F(1)] * raised)
+    return Assessment.of(space, ((g, mass(g) + draw(offsets)) for g in gambles))
+
+
+def gambles_on(space):
+    return st.tuples(*[SMALL] * space.size).map(lambda row: Gamble(space, row))
+
+
+def dot(masses, gamble):
+    return sum((m * x for m, x in zip(masses, gamble.values)), F(0))
+
+
+# The dual programs against vertex enumeration of the credal set, on
+# both shapes of assessment.
+
+
+@SHAPES
+@PROPERTY
+@given(data=st.data())
+def test_natural_extension_is_the_vertex_minimum(tall, data):
+    p = data.draw(assessments(tall))
+    g = data.draw(gambles_on(p.space))
+    vertices = credal_vertices(p, F(1))
+    if not vertices:
+        with pytest.raises(SureLossError):
+            natural_extension_prevision(p, g)
+    else:
+        assert natural_extension_prevision(p, g) == min(dot(v, g) for v in vertices)
+
+
+@SHAPES
+@PROPERTY
+@given(data=st.data())
+def test_sure_loss_verdicts_recheck(tall, data):
+    p = data.draw(assessments(tall))
+    verdict = avoids_sure_loss(p)
+    assert verdict.holds == bool(credal_vertices(p, F(1)))
+    if verdict.holds:
+        mass = verdict.witness
+        assert mass.total_mass == 1 and all(x >= 0 for x in mass.masses)
+        assert all(mass(g) >= v for g, v in p.entries)
+    else:
+        witness = verdict.witness
+        combined = [F(0)] * p.space.size
+        assessed = F(0)
+        for g, count in zip(witness.gambles, witness.multiplicities):
+            assert isinstance(count, int) and count > 0 and g in p
+            combined = [c + count * x for c, x in zip(combined, g.values)]
+            assessed += count * p.value(g)
+        assert max(combined) == witness.sup_combination < assessed
+        assert assessed == witness.assessed_total
+
+
+@SHAPES
+@PROPERTY
+@given(data=st.data())
+def test_find_attaining_at_the_norm(tall, data):
+    p = data.draw(st.one_of(assessments(tall, envelope=True), assessments(tall)))
+    f = data.draw(st.sampled_from(p.domain))
+    g = data.draw(st.one_of(st.sampled_from(p.domain), gambles_on(p.space)))
+    scale = norm(p)
+    if scale == INF:
+        with pytest.raises(NotExactError):
+            find_attaining(p, f, g)
+        return
+    vertices = credal_vertices(p, scale)
+    assert vertices
+    target_g = p.value(g) if g in p else natural_extension_exact(p, g)
+    if g not in p:
+        assert target_g == min(dot(v, g) for v in vertices)
+    targets = (p.value(f), target_g)
+    mass = find_attaining(p, f, g)
+    # the attaining masses form a face of the credal set: nonempty
+    # exactly when some vertex attains both targets
+    assert (mass is not None) == any((dot(v, f), dot(v, g)) == targets for v in vertices)
+    if mass is not None:
+        assert mass.total_mass == scale and all(x >= 0 for x in mass.masses)
+        assert all(mass(h) >= v for h, v in p.entries)
+        assert (mass(f), mass(g)) == targets

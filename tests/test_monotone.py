@@ -66,6 +66,21 @@ class TestIsNMonotone:
         with pytest.raises(DomainError):
             is_n_monotone(p, 2)
 
+    def test_bool_order_rejected(self, step_event_assessment):
+        for order in (True, False):
+            with pytest.raises(ValueError):
+                is_n_monotone(step_event_assessment, order)
+            with pytest.raises(ValueError):
+                is_n_alternating(step_event_assessment, order)
+
+    def test_empty_assessment_verifies_every_order(self, abc):
+        empty = Assessment(abc, ())
+        for order in (1, 3, INF):
+            for check in (is_n_monotone, is_n_alternating):
+                report = check(empty, order)
+                assert report.holds
+                assert report.max_verified == order
+
     def test_downward_closure(self, abc):
         rng = random.Random(43)
         for _ in range(5):

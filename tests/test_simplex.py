@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from lowerprev import simplex
 from lowerprev.simplex import (
     Constraint,
     LinearProgram,
@@ -160,3 +161,137 @@ class TestDuality:
             assert p.value == -d.value
             checked += 1
         assert checked == 80
+
+
+def check_duals(program, out):
+    """Dual feasibility and strong duality, by substitution."""
+    y = out.duals
+    assert len(y) == len(program.constraints)
+    for mult, row in zip(y, program.constraints):
+        if row.relation is GE:
+            assert mult >= 0
+    assert sum(m * row.rhs for m, row in zip(y, program.constraints)) == out.value
+    for j, (c, nonneg) in enumerate(zip(program.objective, program.nonnegative)):
+        column = sum(m * row.coeffs[j] for m, row in zip(y, program.constraints))
+        assert column <= c if nonneg else column == c
+
+
+def check_ray(program, out):
+    """A recession direction of a feasible program that lowers the objective."""
+    d = out.ray
+    assert all(v >= 0 for v, nonneg in zip(d, program.nonnegative) if nonneg)
+    for row in program.constraints:
+        lhs = sum(a * v for a, v in zip(row.coeffs, d))
+        assert lhs >= 0 if row.relation is GE else lhs == 0
+    assert sum(c * v for c, v in zip(program.objective, d)) < 0
+    rows = [(row.coeffs, row.relation, row.rhs) for row in program.constraints]
+    feasibility = lp([0] * len(d), rows, list(program.nonnegative))
+    assert solve(feasibility).status is LPStatus.OPTIMAL
+
+
+def random_open_program(rng, nvars, nrows):
+    """No total-mass cap and some free variables: often unbounded."""
+    objective = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nvars)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [F(rng.randint(-2, 3)) for _ in range(nvars)]
+        rows.append((coeffs, rng.choice([GE, GE, EQ]), F(rng.randint(-4, 4), rng.randint(1, 2))))
+    nonneg = [rng.random() < 0.7 for _ in range(nvars)]
+    return lp(objective, rows, nonneg)
+
+
+class TestDualsAndRays:
+    def test_duals_on_vertex_enumeration_programs(self):
+        rng = random.Random(20240811)
+        checked = 0
+        for _ in range(120):
+            program = random_program(rng, rng.randint(2, 3), rng.randint(1, 3))
+            out = solve(program)
+            assert out.status.value == brute_force_lp(program)[0]
+            assert (out.duals is not None) == (out.status is LPStatus.OPTIMAL)
+            assert out.ray is None
+            if out.status is LPStatus.OPTIMAL:
+                check_duals(program, out)
+                checked += 1
+        assert checked > 20
+
+    def test_rays_and_duals_on_open_programs(self):
+        rng = random.Random(61)
+        statuses = {status: 0 for status in LPStatus}
+        for _ in range(200):
+            program = random_open_program(rng, rng.randint(1, 3), rng.randint(0, 3))
+            out = solve(program)
+            statuses[out.status] += 1
+            assert (out.ray is not None) == (out.status is LPStatus.UNBOUNDED)
+            if out.status is LPStatus.UNBOUNDED:
+                check_ray(program, out)
+            elif out.status is LPStatus.OPTIMAL:
+                check_duals(program, out)
+        assert all(count > 10 for count in statuses.values())
+
+    def test_frozen_ray(self):
+        out = solve(lp([-1, 1], [([1, -1], GE, -2)]))
+        assert out.status is LPStatus.UNBOUNDED
+        assert out.ray == (F(1), F(0))
+
+    def test_frozen_duals(self):
+        # min 2x + y st x >= 3/10, y >= 1/2, x + y == 1: the duals price
+        # the x bound at 1 and the total at 1
+        out = solve(
+            lp([2, 1], [([1, 0], GE, F(3, 10)), ([0, 1], GE, F(1, 2)), ([1, 1], EQ, 1)])
+        )
+        assert out.duals == (F(1), F(0), F(1))
+
+
+class TestSlackStart:
+    def count_runs(self, monkeypatch):
+        calls = []
+        original = simplex._Tableau.run
+
+        def counted(self, cost, allowed):
+            calls.append(1)
+            return original(self, cost, allowed)
+
+        monkeypatch.setattr(simplex._Tableau, "run", counted)
+        return calls
+
+    def test_nonpositive_rhs_skips_phase_one(self, monkeypatch):
+        rng = random.Random(67)
+        calls = self.count_runs(monkeypatch)
+        signs = set()
+        for _ in range(80):
+            nvars = rng.randint(2, 3)
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                coeffs = [F(rng.randint(-2, 3)) for _ in range(nvars)]
+                rows.append((coeffs, GE, F(-rng.randint(0, 4), rng.randint(1, 2))))
+            # a capped total written as two >= rows with nonpositive rhs
+            cap = F(rng.randint(1, 3))
+            rows += [([F(-1)] * nvars, GE, -cap), ([F(1)] * nvars, GE, F(0))]
+            objective = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nvars)]
+            program = lp(objective, rows)
+            del calls[:]
+            out = solve(program)
+            assert len(calls) == 1  # phase two only
+            expected_status, expected_value = brute_force_lp(program)
+            assert out.status.value == expected_status == "optimal"
+            assert out.value == expected_value
+            check_duals(program, out)
+            signs.add(out.value < 0)
+        assert signs == {True, False}
+
+    def test_mixed_rows_run_phase_one(self, monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        # x1 >= -2 starts on its surplus; x1 + x2 >= 1 needs an artificial
+        program = lp([1, 2], [([1, 0], GE, -2), ([1, 1], GE, 1)])
+        out = solve(program)
+        assert len(calls) == 2
+        assert out.status is LPStatus.OPTIMAL and out.value == 1
+        assert out.duals == (F(0), F(1))
+        check_duals(program, out)
+
+    def test_slack_row_infeasible_certificate(self):
+        # -x >= 0 starts on its surplus, x >= 1 does not: infeasible
+        out = solve(lp([1], [([-1], GE, 0), ([1], GE, 1)]))
+        assert out.status is LPStatus.INFEASIBLE
+        assert out.certificate == (F(1), F(1))
