@@ -11,9 +11,10 @@ one giving the linear previsions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import SpaceMismatchError
 from .gambles import Event, Gamble, Space, sort_gambles
@@ -23,7 +24,6 @@ __all__ = [
     "MassFunctional",
     "LowerEnvelope",
     "ExactDecomposition",
-    "evaluate",
 ]
 
 
@@ -32,7 +32,8 @@ class Assessment:
     """A finite map from gambles to lower values, on one space.
 
     Entries are kept sorted by gamble value vector, which fixes the
-    "first witness" order everywhere in the library.
+    "first witness" order everywhere in the library.  An index from
+    value vectors to values makes lookups and membership tests O(1).
 
     >>> s = Space(("a", "b"))
     >>> a = Assessment.of(s, {Gamble.make(s, [1, 0]): "3/10"})
@@ -42,17 +43,19 @@ class Assessment:
 
     space: Space
     entries: tuple[tuple[Gamble, Fraction], ...]
+    _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for gamble, _ in self.entries:
+        index = {}
+        for gamble, value in self.entries:
             if gamble.space != self.space:
                 raise SpaceMismatchError("assessment entry on a different space")
-            if gamble.values in seen:
+            if gamble.values in index:
                 raise ValueError(f"duplicate domain gamble {gamble.values}")
-            seen.add(gamble.values)
+            index[gamble.values] = value
         ordered = tuple(sorted(self.entries, key=lambda e: e[0].values))
         object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def of(
@@ -83,13 +86,12 @@ class Assessment:
         return tuple(g for g, _ in self.entries)
 
     def value(self, gamble: Gamble) -> Fraction:
-        for g, v in self.entries:
-            if g == gamble:
-                return v
-        raise KeyError(f"gamble {gamble.values} not assessed")
+        if gamble not in self:
+            raise KeyError(f"gamble {gamble.values} not assessed")
+        return self._index[gamble.values]
 
     def __contains__(self, gamble: Gamble) -> bool:
-        return any(g == gamble for g, _ in self.entries)
+        return gamble.space == self.space and gamble.values in self._index
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -97,18 +99,28 @@ class Assessment:
     def __iter__(self) -> Iterator[tuple[Gamble, Fraction]]:
         return iter(self.entries)
 
+    @functools.cached_property
+    def by_mask(self) -> dict[int, Fraction] | None:
+        """The set-function view: event bit mask -> value.
+
+        None unless every domain gamble is a 0/1 indicator.  Built once
+        per assessment and shared by every set-function routine.
+        """
+        if not all(g.is_indicator() for g, _ in self.entries):
+            return None
+        return {g.as_event().mask: v for g, v in self.entries}
+
+    @property
+    def is_full_powerset(self) -> bool:
+        """True when the assessment is a set function on all 2^m events."""
+        return self.by_mask is not None and len(self.by_mask) == 1 << self.space.size
+
     def is_lower_probability(self) -> bool:
         """True when every domain gamble is a 0/1 indicator."""
-        return all(g.is_indicator() for g in self.domain)
-
-    def domain_events(self) -> tuple[Event, ...]:
-        return tuple(g.as_event() for g in self.domain)
+        return self.by_mask is not None
 
     def scale(self, factor: Fraction) -> "Assessment":
         return Assessment(self.space, tuple((g, factor * v) for g, v in self.entries))
-
-    def with_entry(self, gamble: Gamble, value: Fraction) -> "Assessment":
-        return Assessment(self.space, self.entries + ((gamble, Fraction(value)),))
 
 
 @dataclass(frozen=True)
@@ -117,10 +129,14 @@ class MassFunctional:
 
     Total mass one makes it a linear prevision (a probability charge on
     events); general nonnegative total mass makes it a positive linear
-    functional with norm equal to its total mass.
+    functional with norm equal to its total mass.  As the witness of a
+    positive sure-loss verdict it is checked by :meth:`check`: total
+    mass one and dominance on the domain.
     """
 
-    space: Space
+    kind: ClassVar[str] = "dominating_mass"
+
+    space: Space = field(metadata={"json": None})
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -147,6 +163,14 @@ class MassFunctional:
             raise SpaceMismatchError("gamble and mass functional on different spaces")
         return sum((m * v for m, v in zip(self.masses, gamble.values)), Fraction(0))
 
+    def dominates(self, assessment: Assessment) -> bool:
+        """At least the assessed value on every domain gamble."""
+        return all(self(g) >= v for g, v in assessment.entries)
+
+    def check(self, assessment: Assessment) -> bool:
+        """A probability mass (total one) dominating the assessment."""
+        return self.total_mass == 1 and self.dominates(assessment)
+
     def event_value(self, event: Event) -> Fraction:
         return sum((self.masses[i] for i in event.members), Fraction(0))
 
@@ -160,16 +184,6 @@ class MassFunctional:
         """The induced assessment on a finite set of gambles (duplicates collapse)."""
         unique = {g.values: g for g in domain}.values()
         return Assessment.of(self.space, ((g, self(g)) for g in sort_gambles(unique)))
-
-
-def evaluate(functional: MassFunctional, gamble: Gamble) -> Fraction:
-    """The linear value ``sum_w mass(w) * gamble(w)``.
-
-    >>> s = Space(("a", "b", "c"))
-    >>> evaluate(MassFunctional.make(s, ["1/2", 0, "1/2"]), Gamble.make(s, [0, 1, 2]))
-    Fraction(1, 1)
-    """
-    return functional(gamble)
 
 
 @dataclass(frozen=True)

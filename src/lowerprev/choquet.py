@@ -23,8 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
+
 from .assessment import Assessment
-from .consistency import extension_minimum, norm
+from .consistency import exact_value, extension_minimum, norm
 from .errors import DomainError
 from .gambles import Event, Gamble, is_comonotone, is_lattice_closed
 from .verdict import Verdict
@@ -90,21 +92,19 @@ class ChoquetResult:
         return total
 
 
-def _powerset_values(assessment: Assessment) -> dict[int, Fraction]:
-    if not assessment.is_lower_probability():
+def _monotone_set_function(assessment: Assessment) -> dict[int, Fraction]:
+    """The mask table of a monotone set function on the full power set."""
+    by_mask = assessment.by_mask
+    if by_mask is None:
         raise DomainError("Choquet integration needs a set function on events")
-    by_mask = {g.as_event().mask: v for g, v in assessment.entries}
-    if set(by_mask) != set(range(1 << assessment.space.size)):
+    if not assessment.is_full_powerset:
         raise DomainError("the set function must be defined on all events")
-    return by_mask
-
-
-def _require_monotone(assessment: Assessment, by_mask: dict[int, Fraction]) -> None:
     size = assessment.space.size
     for mask in range(1 << size):
         for i in range(size):
             if not mask >> i & 1 and by_mask[mask] > by_mask[mask | 1 << i]:
                 raise DomainError("the set function must be monotone")
+    return by_mask
 
 
 def decreasing_distribution(assessment: Assessment, f: Gamble) -> DecreasingDistribution:
@@ -116,8 +116,7 @@ def decreasing_distribution(assessment: Assessment, f: Gamble) -> DecreasingDist
     >>> decreasing_distribution(unit, Gamble.make(s, [0, 1])).steps
     ((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1)))
     """
-    by_mask = _powerset_values(assessment)
-    _require_monotone(assessment, by_mask)
+    by_mask = _monotone_set_function(assessment)
     steps = []
     for v in sorted(set(f.values)):
         level_set = f.level_set(v)
@@ -132,8 +131,7 @@ def choquet_integral(assessment: Assessment, f: Gamble) -> ChoquetResult:
     event at zero.  For 2-monotone exact set functions the value equals
     the natural extension at ``f``.
     """
-    by_mask = _powerset_values(assessment)
-    _require_monotone(assessment, by_mask)
+    by_mask = _monotone_set_function(assessment)
     if by_mask[0] != 0:
         raise DomainError("the empty event must carry value zero")
     space = assessment.space
@@ -157,11 +155,22 @@ def choquet_integral(assessment: Assessment, f: Gamble) -> ChoquetResult:
 class AdditivityGap:
     """A comonotone pair whose sum is valued away from the sum of values."""
 
+    kind: ClassVar[str] = "additivity_gap"
+
     f: Gamble
     g: Gamble
     sum_value: Fraction
     parts_total: Fraction
     via_extension: bool
+
+    def check(self, assessment: Assessment) -> bool:
+        sum_value = exact_value(assessment, self.f + self.g)
+        parts = assessment.value(self.f) + assessment.value(self.g)
+        return (
+            sum_value == self.sum_value
+            and parts == self.parts_total
+            and sum_value != parts
+        )
 
 
 def is_comonotone_additive(assessment: Assessment) -> Verdict:
@@ -175,15 +184,14 @@ def is_comonotone_additive(assessment: Assessment) -> Verdict:
     domain = assessment.domain
     if not is_lattice_closed(domain):
         raise DomainError("comonotone additivity needs a lattice-closed domain")
-    values = {g.values: v for g, v in assessment.entries}
     scale: Fraction | float | None = None
     extended: list[tuple[Gamble, Gamble]] = []
     for f, g in itertools.combinations(domain, 2):
         if not is_comonotone(f, g):
             continue
         total_gamble = f + g
-        if total_gamble.values in values:
-            sum_value = values[total_gamble.values]
+        if total_gamble in assessment:
+            sum_value = assessment.value(total_gamble)
             via_extension = False
         else:
             if scale is None:
@@ -196,7 +204,7 @@ def is_comonotone_additive(assessment: Assessment) -> Verdict:
             sum_value = extension_minimum(assessment, total_gamble, scale)
             via_extension = True
             extended.append((f, g))
-        parts = values[f.values] + values[g.values]
+        parts = assessment.value(f) + assessment.value(g)
         if sum_value != parts:
             return Verdict(
                 False,

@@ -2,9 +2,11 @@
 
 Exit status 0 for yes/success verdicts, 1 when any query produced a
 no verdict (its witness is in the report), 2 for input errors.  All
-numbers in reports are exact rational strings.  With
-``--verify-witness`` every emitted witness is re-validated through the
-kernel and the result recorded per query.
+numbers in reports are exact rational strings.  A witness is reported
+as its ``kind`` plus its dataclass fields.  With ``--verify-witness``
+every emitted witness is re-validated by its own ``check`` against the
+assessment, and an attaining functional by its total mass, dominance
+and targets; the result is recorded per query.
 """
 
 from __future__ import annotations
@@ -13,19 +15,14 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Any, Callable
 
-from . import consistency
-from .assessment import Assessment, MassFunctional
-from .choquet import AdditivityGap, choquet_integral, is_comonotone_additive
+from .assessment import Assessment
+from .choquet import choquet_integral, is_comonotone_additive
 from .consistency import (
-    CoherenceGap,
-    NormIntervalGap,
-    SureLossWitness,
-    UnattainableGamble,
     avoids_sure_loss,
     decompose,
+    exact_value,
     find_attaining,
     is_coherent,
     is_exact,
@@ -41,10 +38,9 @@ from .document import (
     event_to_json,
     gamble_to_json,
     load_document,
-    mass_to_json,
     mobius_to_json,
+    to_json,
     verdict_to_json,
-    witness_to_json,
 )
 from .errors import (
     ClosureBudgetError,
@@ -55,14 +51,12 @@ from .errors import (
 )
 from .gambles import BUDGET_ENV_VAR
 from .monotone import (
-    MonotonicityViolation,
     inner_extension,
     inner_set_function,
     is_n_alternating,
     is_n_monotone,
     mobius,
     powerset_inner,
-    revalidate_violation,
     vacuous,
 )
 from .rational import format_rational
@@ -94,87 +88,23 @@ def _parse_n(raw: Any) -> int | float:
     return int(raw)
 
 
-def _verify_witness(assessment: Assessment, witness: Any) -> bool:
-    """Re-check a witness by substitution; exact equality throughout."""
-    if isinstance(witness, MassFunctional):
-        return witness.total_mass == 1 and all(
-            witness(g) >= v for g, v in assessment.entries
-        )
-    if isinstance(witness, SureLossWitness):
-        combined = witness.gambles[0] * witness.multiplicities[0]
-        for g, k in zip(witness.gambles[1:], witness.multiplicities[1:]):
-            combined = combined + g * k
-        assessed = sum(
-            (assessment.value(g) * k for g, k in zip(witness.gambles, witness.multiplicities)),
-            Fraction(0),
-        )
-        return combined.sup == witness.sup_combination and assessed == witness.assessed_total and combined.sup < assessed
-    if isinstance(witness, CoherenceGap):
-        extension = natural_extension_prevision(assessment, witness.gamble)
-        return (
-            extension == witness.extension
-            and assessment.value(witness.gamble) == witness.assessed
-            and extension != witness.assessed
-        )
-    if isinstance(witness, UnattainableGamble):
-        value = assessment.value(witness.gamble)
-        return consistency._attainment_interval(assessment, witness.gamble, value) is None
-    if isinstance(witness, NormIntervalGap):
-        low = consistency._attainment_interval(
-            assessment, witness.lower_gamble, assessment.value(witness.lower_gamble)
-        )
-        high = consistency._attainment_interval(
-            assessment, witness.upper_gamble, assessment.value(witness.upper_gamble)
-        )
-        return (
-            low is not None
-            and high is not None
-            and low[0] == witness.lower
-            and high[1] == witness.upper
-            and witness.lower > witness.upper
-        )
-    if isinstance(witness, MonotonicityViolation):
-        total = revalidate_violation(assessment, witness)
-        if total != witness.total:
-            return False
-        return total > 0 if witness.alternating else total < 0
-    if isinstance(witness, AdditivityGap):
-        total_gamble = witness.f + witness.g
-        if total_gamble in assessment:
-            sum_value = assessment.value(total_gamble)
-        else:
-            sum_value = natural_extension_exact(assessment, total_gamble)
-        parts = assessment.value(witness.f) + assessment.value(witness.g)
-        return (
-            sum_value == witness.sum_value
-            and parts == witness.parts_total
-            and sum_value != parts
-        )
-    return False
-
-
-def _emit_verdict(
-    verdict: Verdict, assessment: Assessment, verify: bool
-) -> tuple[dict, bool]:
+def _report_verdict(verdict: Verdict, doc: ProblemDocument, args) -> tuple[list[dict], bool]:
     result = verdict_to_json(verdict)
-    if verify and verdict.witness is not None:
-        result["witness_verified"] = _verify_witness(assessment, verdict.witness)
-    return result, not verdict.holds
+    if args.verify_witness and verdict.witness is not None:
+        result["witness_verified"] = verdict.witness.check(doc.assessment)
+    return [result], not verdict.holds
 
 
 def _cmd_check_asl(doc, args):
-    result, no = _emit_verdict(avoids_sure_loss(doc.assessment), doc.assessment, args.verify_witness)
-    return [result], no
+    return _report_verdict(avoids_sure_loss(doc.assessment), doc, args)
 
 
 def _cmd_check_coherent(doc, args):
-    result, no = _emit_verdict(is_coherent(doc.assessment), doc.assessment, args.verify_witness)
-    return [result], no
+    return _report_verdict(is_coherent(doc.assessment), doc, args)
 
 
 def _cmd_check_exact(doc, args):
-    result, no = _emit_verdict(is_exact(doc.assessment), doc.assessment, args.verify_witness)
-    return [result], no
+    return _report_verdict(is_exact(doc.assessment), doc, args)
 
 
 def _cmd_norm(doc, args):
@@ -255,10 +185,10 @@ def _cmd_nmono(doc, args, alternating=False):
             "decision": report.holds,
             "requested": "inf" if report.requested == math.inf else report.requested,
             "max_verified": "inf" if report.max_verified == math.inf else report.max_verified,
-            "witness": witness_to_json(report.violation),
+            "witness": to_json(report.violation),
         }
         if args.verify_witness and report.violation is not None:
-            result["witness_verified"] = _verify_witness(assessment, report.violation)
+            result["witness_verified"] = report.violation.check(assessment)
         results.append(result)
         any_no = any_no or not report.holds
     return results, any_no
@@ -268,23 +198,19 @@ def _cmd_nalt(doc, args):
     return _cmd_nmono(doc, args, alternating=True)
 
 
+def _cmd_comadd(doc, args):
+    return _report_verdict(is_comonotone_additive(doc.assessment), doc, args)
+
+
 def _cmd_mobius(doc, args):
     transform = mobius(doc.assessment)
     return [{"coefficients": mobius_to_json(transform)}], False
 
 
-def _prepare_set_function(doc: ProblemDocument) -> tuple[Assessment, bool]:
-    assessment = doc.assessment
-    masks = {g.as_event().mask for g in assessment.domain} if assessment.is_lower_probability() else set()
-    full = set(range(1 << doc.space.size))
-    if masks == full:
-        return assessment, False
-    return powerset_inner(assessment), True
-
-
 def _cmd_choquet(doc, args):
     flags = {"gamble": args.gamble}
-    set_function, extended = _prepare_set_function(doc)
+    extended = not doc.assessment.is_full_powerset
+    set_function = powerset_inner(doc.assessment) if extended else doc.assessment
     results = []
     for query in _queries(doc, flags, ("gamble",)):
         gamble = doc.resolve_gamble(query["gamble"])
@@ -294,13 +220,6 @@ def _cmd_choquet(doc, args):
             result["inner_extended"] = True
         results.append(result)
     return results, False
-
-
-def _cmd_comadd(doc, args):
-    result, no = _emit_verdict(
-        is_comonotone_additive(doc.assessment), doc.assessment, args.verify_witness
-    )
-    return [result], no
 
 
 def _cmd_attain(doc, args):
@@ -319,22 +238,13 @@ def _cmd_attain(doc, args):
             "found": True,
             "f": gamble_to_json(f),
             "g": gamble_to_json(g),
-            "masses": mass_to_json(mass),
+            "masses": to_json(mass.masses),
         }
         if args.verify_witness:
-            scale = norm(doc.assessment)
-            targets = []
-            for q in (f, g):
-                targets.append(
-                    doc.assessment.value(q)
-                    if q in doc.assessment
-                    else natural_extension_exact(doc.assessment, q)
-                )
             result["witness_verified"] = (
-                mass.total_mass == scale
-                and all(mass(h) >= v for h, v in doc.assessment.entries)
-                and mass(f) == targets[0]
-                and mass(g) == targets[1]
+                mass.total_mass == norm(doc.assessment)
+                and mass.dominates(doc.assessment)
+                and all(mass(q) == exact_value(doc.assessment, q) for q in (f, g))
             )
         results.append(result)
     return results, any_no

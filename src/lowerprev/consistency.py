@@ -51,7 +51,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from . import simplex
 from .assessment import Assessment, ExactDecomposition, MassFunctional
@@ -88,36 +88,89 @@ class SureLossWitness:
     """Domain gambles and positive integer multiplicities with
     ``sup(sum_i m_i f_i) < sum_i m_i l(f_i)``."""
 
+    kind: ClassVar[str] = "sure_loss_combination"
+
     gambles: tuple[Gamble, ...]
     multiplicities: tuple[int, ...]
     sup_combination: Fraction
     assessed_total: Fraction
+
+    @staticmethod
+    def of(
+        assessment: Assessment, gambles: Iterable[Gamble], multiplicities: Iterable[int]
+    ) -> "SureLossWitness":
+        """The combination with its supremum and assessed total worked out."""
+        gambles, multiplicities = tuple(gambles), tuple(multiplicities)
+        combination = sum(
+            (g * k for g, k in zip(gambles, multiplicities)),
+            Gamble.constant(assessment.space, 0),
+        )
+        assessed = sum(
+            (assessment.value(g) * k for g, k in zip(gambles, multiplicities)), ZERO
+        )
+        return SureLossWitness(gambles, multiplicities, combination.sup, assessed)
+
+    def check(self, assessment: Assessment) -> bool:
+        return (
+            self == SureLossWitness.of(assessment, self.gambles, self.multiplicities)
+            and self.sup_combination < self.assessed_total
+        )
 
 
 @dataclass(frozen=True)
 class CoherenceGap:
     """A domain gamble assessed strictly below its natural extension."""
 
+    kind: ClassVar[str] = "coherence_gap"
+
     gamble: Gamble
     assessed: Fraction
     extension: Fraction
+
+    def check(self, assessment: Assessment) -> bool:
+        return (
+            assessment.value(self.gamble) == self.assessed
+            and self.extension != self.assessed
+            and natural_extension_prevision(assessment, self.gamble) == self.extension
+        )
 
 
 @dataclass(frozen=True)
 class UnattainableGamble:
     """A domain gamble no dominating mass functional can attain."""
 
+    kind: ClassVar[str] = "unattainable_gamble"
+
     gamble: Gamble
+
+    def check(self, assessment: Assessment) -> bool:
+        value = assessment.value(self.gamble)
+        return _attainment_interval(assessment, self.gamble, value) is None
 
 
 @dataclass(frozen=True)
 class NormIntervalGap:
     """Two domain gambles whose total-mass intervals do not meet."""
 
+    kind: ClassVar[str] = "norm_interval_gap"
+
     lower_gamble: Gamble
     lower: Fraction
     upper_gamble: Gamble
     upper: Fraction
+
+    def check(self, assessment: Assessment) -> bool:
+        low, high = (
+            _attainment_interval(assessment, g, assessment.value(g))
+            for g in (self.lower_gamble, self.upper_gamble)
+        )
+        return (
+            low is not None
+            and high is not None
+            and low[0] == self.lower
+            and high[1] == self.upper
+            and self.lower > self.upper
+        )
 
 
 def _dual_program(
@@ -187,16 +240,8 @@ def avoids_sure_loss(assessment: Assessment) -> Verdict:
             gambles.append(gamble)
             multiplicities.append(count // common)
     if gambles:
-        combination = gambles[0] * multiplicities[0]
-        for g, k in zip(gambles[1:], multiplicities[1:]):
-            combination = combination + g * k
-        assessed = sum(
-            (assessment.value(g) * k for g, k in zip(gambles, multiplicities)), ZERO
-        )
-        if combination.sup < assessed:
-            witness = SureLossWitness(
-                tuple(gambles), tuple(multiplicities), combination.sup, assessed
-            )
+        witness = SureLossWitness.of(assessment, gambles, multiplicities)
+        if witness.check(assessment):
             return Verdict(False, witness)
     # Exact arithmetic should never reach this; stay honest if it does.
     return Verdict(False, None, info={"witness_unavailable": True})
@@ -253,12 +298,14 @@ def _attainment_interval(
     return low, upper
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=1)
 def _norm_analysis(assessment: Assessment):
     """Shared engine behind :func:`norm` and :func:`is_exact`.
 
     Cached: assessments are immutable and the callers that chain norm,
-    extension and attainment queries keep hitting the same one.
+    extension and attainment queries keep hitting the same one.  One
+    entry is enough for those chains and keeps no older assessment
+    (with its index and mask table) alive.
     """
     best_low: tuple[Fraction, Gamble] | None = None
     best_high: tuple[Fraction | float, Gamble] | None = None
@@ -300,9 +347,9 @@ def _event_exactness_shortcut(assessment: Assessment) -> Verdict | None:
     event being assessed at zero.  Cross-checked against the linear
     programming route in the test suite.
     """
-    if not assessment.entries or not assessment.is_lower_probability():
+    by_mask = assessment.by_mask
+    if not by_mask:
         return None
-    by_mask = {g.as_event().mask: v for g, v in assessment.entries}
     full = (1 << assessment.space.size) - 1
     if 0 not in by_mask or full not in by_mask:
         return None
@@ -323,7 +370,7 @@ def _event_exactness_shortcut(assessment: Assessment) -> Verdict | None:
     )
 
 
-def is_exact(assessment: Assessment, *, use_event_shortcut: bool = True) -> Verdict:
+def is_exact(assessment: Assessment) -> Verdict:
     """Can the assessment be extended to an exact functional on all gambles?
 
     Equivalent to the norm being finite.  For set functions on event
@@ -331,10 +378,9 @@ def is_exact(assessment: Assessment, *, use_event_shortcut: bool = True) -> Verd
     criterion is applied first; all other assessments go through the
     norm programs.
     """
-    if use_event_shortcut:
-        shortcut = _event_exactness_shortcut(assessment)
-        if shortcut is not None:
-            return shortcut
+    shortcut = _event_exactness_shortcut(assessment)
+    if shortcut is not None:
+        return shortcut
     kind, payload = _norm_analysis(assessment)
     if kind == "exact":
         return Verdict(True, info={"norm": payload})
@@ -369,6 +415,13 @@ def natural_extension_exact(assessment: Assessment, gamble: Gamble) -> Fraction:
     if scale == INF:
         raise NotExactError("assessment is not exact; no natural extension exists")
     return extension_minimum(assessment, gamble, scale)
+
+
+def exact_value(assessment: Assessment, gamble: Gamble) -> Fraction:
+    """The assessed value of a domain gamble, else :func:`natural_extension_exact`."""
+    if gamble in assessment:
+        return assessment.value(gamble)
+    return natural_extension_exact(assessment, gamble)
 
 
 def vacuous_value(gamble: Gamble) -> Fraction:
@@ -421,10 +474,7 @@ def find_attaining(
     scale = norm(assessment)
     if scale == INF:
         raise NotExactError("assessment is not exact")
-    targets = []
-    for q in (f, g):
-        value = assessment.value(q) if q in assessment else natural_extension_exact(assessment, q)
-        targets.append((q, value))
+    targets = [(q, exact_value(assessment, q)) for q in (f, g)]
     m = assessment.space.size
     outcome, _ = _dual_program(assessment, (ZERO,) * m, scale, targets)
     if outcome.status is not LPStatus.OPTIMAL:

@@ -11,6 +11,7 @@ document reproduces the input value for value.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
 from dataclasses import dataclass
@@ -19,16 +20,10 @@ from typing import Any, Mapping
 
 import jsonschema
 
-from .assessment import Assessment, MassFunctional
-from .choquet import AdditivityGap, ChoquetResult
-from .consistency import (
-    CoherenceGap,
-    NormIntervalGap,
-    SureLossWitness,
-    UnattainableGamble,
-)
-from .gambles import Event, Gamble, Space, WedgeWitness
-from .monotone import MinPreservationGap, MobiusTransform, MonotonicityViolation
+from .assessment import Assessment
+from .choquet import ChoquetResult
+from .gambles import Event, Gamble, Space
+from .monotone import MobiusTransform
 from .rational import format_rational, parse_rational
 from .verdict import Verdict
 
@@ -41,7 +36,7 @@ __all__ = [
     "report_schema",
     "gamble_to_json",
     "event_to_json",
-    "witness_to_json",
+    "to_json",
 ]
 
 
@@ -183,10 +178,6 @@ def assessment_to_json(assessment: Assessment) -> list[dict]:
     return out
 
 
-def mass_to_json(mass: MassFunctional) -> list[str]:
-    return [format_rational(m) for m in mass.masses]
-
-
 def mobius_to_json(transform: MobiusTransform) -> list[dict]:
     return [
         {"event": event_to_json(e), "mass": format_rational(c)}
@@ -208,90 +199,37 @@ def choquet_to_json(result: ChoquetResult) -> dict:
     }
 
 
-def witness_to_json(witness: Any) -> dict | None:
-    """Kind-tagged JSON for every witness the kernel can produce."""
-    if witness is None:
-        return None
-    if isinstance(witness, MassFunctional):
-        return {"kind": "dominating_mass", "masses": mass_to_json(witness)}
-    if isinstance(witness, SureLossWitness):
-        return {
-            "kind": "sure_loss_combination",
-            "gambles": [gamble_to_json(g) for g in witness.gambles],
-            "multiplicities": list(witness.multiplicities),
-            "sup_combination": format_rational(witness.sup_combination),
-            "assessed_total": format_rational(witness.assessed_total),
-        }
-    if isinstance(witness, CoherenceGap):
-        return {
-            "kind": "coherence_gap",
-            "gamble": gamble_to_json(witness.gamble),
-            "assessed": format_rational(witness.assessed),
-            "extension": format_rational(witness.extension),
-        }
-    if isinstance(witness, UnattainableGamble):
-        return {"kind": "unattainable_gamble", "gamble": gamble_to_json(witness.gamble)}
-    if isinstance(witness, NormIntervalGap):
-        return {
-            "kind": "norm_interval_gap",
-            "lower_gamble": gamble_to_json(witness.lower_gamble),
-            "lower": format_rational(witness.lower),
-            "upper_gamble": gamble_to_json(witness.upper_gamble),
-            "upper": format_rational(witness.upper),
-        }
-    if isinstance(witness, MonotonicityViolation):
-        return {
-            "kind": "monotonicity_violation",
-            "order": witness.order,
-            "base": gamble_to_json(witness.base),
-            "companions": [gamble_to_json(g) for g in witness.companions],
-            "sum": format_rational(witness.total),
-            "alternating": witness.alternating,
-            "via_inner": witness.via_inner,
-        }
-    if isinstance(witness, AdditivityGap):
-        return {
-            "kind": "additivity_gap",
-            "f": gamble_to_json(witness.f),
-            "g": gamble_to_json(witness.g),
-            "sum_value": format_rational(witness.sum_value),
-            "parts_total": format_rational(witness.parts_total),
-            "via_extension": witness.via_extension,
-        }
-    if isinstance(witness, MinPreservationGap):
-        return {
-            "kind": "min_preservation_gap",
-            "f": gamble_to_json(witness.f),
-            "g": gamble_to_json(witness.g),
-            "value_of_meet": format_rational(witness.value_of_meet),
-            "min_of_values": format_rational(witness.min_of_values),
-        }
-    if isinstance(witness, WedgeWitness):
-        return {
-            "kind": "wedge_gap",
-            "f": gamble_to_json(witness.f),
-            "g": gamble_to_json(witness.g),
-            "image_of_meet": gamble_to_json(witness.image_of_meet),
-            "meet_of_images": gamble_to_json(witness.meet_of_images),
-        }
-    raise TypeError(f"no JSON form for witness {witness!r}")
+def to_json(value: Any) -> Any:
+    """The JSON form of a report value.
+
+    Rationals become strings, gambles their value lists, events their
+    label lists and tuples lists.  A witness becomes its ``kind`` plus
+    its dataclass fields in declaration order; a field's ``json``
+    metadata renames it, or drops it when None.
+    """
+    if isinstance(value, (Fraction, float)):
+        return format_rational(value)
+    if isinstance(value, Gamble):
+        return gamble_to_json(value)
+    if isinstance(value, Event):
+        return event_to_json(value)
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        out = {"kind": value.kind}
+        for f in dataclasses.fields(value):
+            name = f.metadata.get("json", f.name)
+            if name is not None:
+                out[name] = to_json(getattr(value, f.name))
+        return out
+    return value
 
 
 def verdict_to_json(verdict: Verdict) -> dict:
     out: dict[str, Any] = {
         "decision": verdict.holds,
-        "witness": witness_to_json(verdict.witness),
+        "witness": to_json(verdict.witness),
     }
     if verdict.info:
-        info = {}
-        for key, value in verdict.info.items():
-            if key == "extended_pairs":
-                info[key] = [
-                    [gamble_to_json(f), gamble_to_json(g)] for f, g in value
-                ]
-            elif isinstance(value, Fraction):
-                info[key] = format_rational(value)
-            else:
-                info[key] = value
-        out["info"] = info
+        out["info"] = {key: to_json(value) for key, value in verdict.info.items()}
     return out

@@ -15,7 +15,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import ClosureBudgetError, DomainError, SpaceMismatchError
 from .verdict import Verdict
@@ -387,10 +387,19 @@ def is_field(events: Sequence[Event]) -> bool:
 class WedgeWitness:
     """A pair on which a tabulated map fails to preserve pointwise minima."""
 
+    kind: ClassVar[str] = "wedge_gap"
+
     f: Gamble
     g: Gamble
     image_of_meet: Gamble
     meet_of_images: Gamble
+
+    def check(self, table: "HomomorphismTable") -> bool:
+        return (
+            table(meet(self.f, self.g)) == self.image_of_meet
+            and meet(table(self.f), table(self.g)) == self.meet_of_images
+            and self.image_of_meet != self.meet_of_images
+        )
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,12 @@ ordering (ascending value vectors), so fixtures are deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .assessment import Assessment
 from .consistency import conjugate
@@ -82,15 +83,34 @@ class MonotonicityViolation:
     the remaining tuple, and ``total`` the offending alternating sum
     (negative for a monotonicity check, positive for an alternation
     check).  ``via_inner`` marks witnesses whose values were read off
-    the inner set function rather than the assessment itself.
+    the inner set function rather than the assessment itself.  Reports
+    carry ``total`` under the name ``sum``.
     """
+
+    kind: ClassVar[str] = "monotonicity_violation"
 
     order: int
     base: Gamble
     companions: tuple[Gamble, ...]
-    total: Fraction
+    total: Fraction = field(metadata={"json": "sum"})
     alternating: bool = False
     via_inner: bool = False
+
+    def conjugate(self) -> "MonotonicityViolation":
+        """The mirrored violation of the conjugate assessment: gambles and
+        sum negated, monotonicity and alternation swapped."""
+        return dataclasses.replace(
+            self,
+            base=-self.base,
+            companions=tuple(-g for g in self.companions),
+            total=-self.total,
+            alternating=not self.alternating,
+        )
+
+    def check(self, assessment: Assessment) -> bool:
+        """The recomputed alternating sum equals ``total`` and has the wrong sign."""
+        total = revalidate_violation(assessment, self)
+        return total == self.total and (total > 0 if self.alternating else total < 0)
 
 
 @dataclass(frozen=True)
@@ -157,13 +177,6 @@ def _alternating_scan(
     return None
 
 
-def _is_full_powerset(assessment: Assessment) -> bool:
-    if not assessment.is_lower_probability():
-        return False
-    masks = {g.as_event().mask for g in assessment.domain}
-    return masks == set(range(1 << assessment.space.size))
-
-
 def _certificate_scan(assessment: Assessment, via_inner: bool) -> MonotonicityViolation | None:
     """Complete-monotonicity certificate on a full power-set set function."""
     transform = mobius(assessment)
@@ -199,7 +212,7 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
     containing the empty and full events by the certificate of the
     inner set function, and on lattices of gambles by scanning up to
     the domain size minus one, which the distinct-tuple reduction makes
-    exhaustive.
+    exhaustive, so a clean scan verifies every order (``inf``).
 
     >>> from .gambles import Space
     >>> s = Space(("a", "b"))
@@ -212,10 +225,10 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
     if not assessment.entries:
         return MonotonicityReport(n, n, None)  # no alternating sum of any order
     if n == INFINITE and assessment.is_lower_probability():
-        if _is_full_powerset(assessment):
+        if assessment.is_full_powerset:
             violation = _certificate_scan(assessment, via_inner=False)
             return MonotonicityReport(n, INFINITE if violation is None else 0, violation)
-        masks = {g.as_event().mask for g in assessment.domain}
+        masks = assessment.by_mask
         full = (1 << assessment.space.size) - 1
         if 0 in masks and full in masks and is_lattice_closed(assessment.domain):
             # the inner set function only coincides with (and preserves)
@@ -231,8 +244,7 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
     violation = _alternating_scan(domain, combine, values, cap, alternating=False)
     if violation is not None:
         return MonotonicityReport(n, violation.order - 1, violation)
-    verified = cap if n == INFINITE else n
-    return MonotonicityReport(n, verified, None)
+    return MonotonicityReport(n, n, None)
 
 
 def is_n_alternating(assessment: Assessment, n: int | float) -> MonotonicityReport:
@@ -245,17 +257,7 @@ def is_n_alternating(assessment: Assessment, n: int | float) -> MonotonicityRepo
     _check_order(n)
     if n == INFINITE:
         report = is_n_monotone(conjugate(assessment), n)
-        if report.violation is None:
-            return MonotonicityReport(n, report.max_verified, None)
-        v = report.violation
-        violation = MonotonicityViolation(
-            order=v.order,
-            base=-v.base,
-            companions=tuple(-g for g in v.companions),
-            total=-v.total,
-            alternating=True,
-            via_inner=v.via_inner,
-        )
+        violation = None if report.violation is None else report.violation.conjugate()
         return MonotonicityReport(n, report.max_verified, violation)
     domain, combine, values = _domain_tables(assessment, join)
     violation = _alternating_scan(domain, combine, values, int(n), alternating=True)
@@ -273,15 +275,7 @@ def revalidate_violation(assessment: Assessment, violation: MonotonicityViolatio
     checks that means the conjugate assessment's inner set function.
     """
     if violation.via_inner and violation.alternating:
-        mirrored = MonotonicityViolation(
-            order=violation.order,
-            base=-violation.base,
-            companions=tuple(-g for g in violation.companions),
-            total=-violation.total,
-            alternating=False,
-            via_inner=True,
-        )
-        return -revalidate_violation(conjugate(assessment), mirrored)
+        return -revalidate_violation(conjugate(assessment), violation.conjugate())
     source = powerset_inner(assessment) if violation.via_inner else assessment
     combine_op = join if violation.alternating else meet
     p = violation.order
@@ -312,9 +306,9 @@ def inner_set_function(assessment: Assessment, event: Event) -> Fraction:
     >>> inner_set_function(lp, Event.from_labels(s, ["a", "c"]))
     Fraction(1, 4)
     """
-    if not assessment.is_lower_probability():
+    masks = assessment.by_mask
+    if masks is None:
         raise DomainError("inner set function needs an assessment on events")
-    masks = {g.as_event().mask: v for g, v in assessment.entries}
     full = (1 << assessment.space.size) - 1
     if 0 not in masks or full not in masks:
         raise DomainError("inner set function needs the empty and full events assessed")
@@ -380,9 +374,9 @@ def mobius(assessment: Assessment) -> MobiusTransform:
     >>> [(e.labels, c) for e, c in mobius(uniform).items()]
     [((), Fraction(0, 1)), (('a',), Fraction(1, 2)), (('b',), Fraction(1, 2)), (('a', 'b'), Fraction(0, 1))]
     """
-    if not _is_full_powerset(assessment):
+    if not assessment.is_full_powerset:
         raise DomainError("inversion needs the set function on the full power set")
-    by_mask = {g.as_event().mask: v for g, v in assessment.entries}
+    by_mask = assessment.by_mask
     size = assessment.space.size
     coefficients = []
     for mask in range(1 << size):
@@ -406,7 +400,7 @@ def is_completely_monotone(assessment: Assessment) -> Verdict:
     offending event, whose alternating sum is the negative coefficient
     itself.
     """
-    if not _is_full_powerset(assessment):
+    if not assessment.is_full_powerset:
         raise DomainError("complete monotonicity certificate needs the full power set")
     empty = Gamble.constant(assessment.space, 0)
     if assessment.value(empty) != 0:
@@ -483,10 +477,19 @@ def minimum_table(domain: Iterable[Gamble], event: Event) -> HomomorphismTable:
 class MinPreservationGap:
     """A pair on which an assessment fails ``value(f ^ g) = min(values)``."""
 
+    kind: ClassVar[str] = "min_preservation_gap"
+
     f: Gamble
     g: Gamble
     value_of_meet: Fraction
     min_of_values: Fraction
+
+    def check(self, assessment: Assessment) -> bool:
+        return (
+            assessment.value(meet(self.f, self.g)) == self.value_of_meet
+            and min(assessment.value(self.f), assessment.value(self.g)) == self.min_of_values
+            and self.value_of_meet != self.min_of_values
+        )
 
 
 def minimum_preserving_check(assessment: Assessment) -> Verdict:
@@ -495,14 +498,12 @@ def minimum_preserving_check(assessment: Assessment) -> Verdict:
     A yes verdict certifies complete monotonicity (verified separately
     by :func:`is_n_monotone` in the test suite).
     """
-    domain = assessment.domain
-    values = {g.values: v for g, v in assessment.entries}
-    for f, g in itertools.combinations(domain, 2):
+    for f, g in itertools.combinations(assessment.domain, 2):
         meet_fg = meet(f, g)
-        if meet_fg.values not in values:
+        if meet_fg not in assessment:
             raise DomainError("assessment domain is not closed under meets")
-        value_of_meet = values[meet_fg.values]
-        floor = min(values[f.values], values[g.values])
+        value_of_meet = assessment.value(meet_fg)
+        floor = min(assessment.value(f), assessment.value(g))
         if value_of_meet != floor:
             return Verdict(False, MinPreservationGap(f, g, value_of_meet, floor))
     return Verdict(True)

@@ -3,7 +3,11 @@
 A negative verdict always carries a witness that re-checks exactly:
 a violating pair, a sure-loss combination, an unattained domain
 gamble, and so on.  The witness types themselves live next to the
-operations that produce them.
+operations that produce them and share one protocol: a ``kind`` class
+variable naming the witness in reports, and a ``check`` method that
+redoes the substitution against the assessment (a ``WedgeWitness``
+against its table) and returns a bool.  Reports serialise a witness
+generically as its ``kind`` plus its dataclass fields.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from lowerprev import (
     avoids_sure_loss,
     conjugate,
     decompose,
-    evaluate,
     find_attaining,
     is_coherent,
     is_exact,
@@ -32,7 +31,13 @@ from lowerprev import (
     natural_extension_prevision,
     norm,
 )
-from lowerprev.consistency import CoherenceGap, UnattainableGamble, extension_minimum
+from lowerprev.consistency import (
+    CoherenceGap,
+    UnattainableGamble,
+    _event_exactness_shortcut,
+    _norm_analysis,
+    extension_minimum,
+)
 from lowerprev.sampling import random_envelope, random_gamble
 
 from .conftest import step_extension_value
@@ -44,15 +49,15 @@ INF = math.inf
 class TestEvaluate:
     def test_dot_product(self, abc, step_gamble):
         mass = MassFunctional.make(abc, ["1/2", 0, "1/2"])
-        assert evaluate(mass, step_gamble) == 1
+        assert mass(step_gamble) == 1
 
     def test_zero_gamble(self, abc):
         mass = MassFunctional.make(abc, ["1/3", "1/5", 1])
-        assert evaluate(mass, Gamble.constant(abc, 0)) == 0
+        assert mass(Gamble.constant(abc, 0)) == 0
 
     def test_uniform_expectation(self, abc, step_gamble):
         mass = MassFunctional.make(abc, ["1/3", "1/3", "1/3"])
-        assert evaluate(mass, step_gamble) == 1
+        assert mass(step_gamble) == 1
 
 
 class TestAvoidsSureLoss:
@@ -207,18 +212,20 @@ class TestNorm:
 
 class TestIsExact:
     def test_two_monotone_events(self, step_event_assessment):
-        by_shortcut = is_exact(step_event_assessment)
-        by_programs = is_exact(step_event_assessment, use_event_shortcut=False)
-        assert by_shortcut.holds and by_programs.holds
+        by_shortcut = _event_exactness_shortcut(step_event_assessment)
+        kind, _ = _norm_analysis(step_event_assessment)
+        assert by_shortcut.holds and kind == "exact"
         assert by_shortcut.info["route"] == "event_shortcut"
+        assert is_exact(step_event_assessment) == by_shortcut
 
     def test_nonzero_empty_event(self, abc):
         entries = {e: F(1, 10) if e.size == 0 else F(e.size, 3) for e in abc.all_events()}
         p = Assessment.on_events(abc, entries)
-        for shortcut in (True, False):
-            verdict = is_exact(p, use_event_shortcut=shortcut)
-            assert not verdict.holds
-            assert isinstance(verdict.witness, UnattainableGamble)
+        by_shortcut = _event_exactness_shortcut(p)
+        kind, witness = _norm_analysis(p)
+        assert not by_shortcut.holds and kind == "unattainable"
+        assert by_shortcut.witness == witness
+        assert isinstance(witness, UnattainableGamble)
 
     def test_negative_gamble(self, ab):
         f = Gamble.make(ab, [-2, -1])

@@ -194,7 +194,7 @@ class TestCommands:
         code, report = run(capsys, "nmono", doc_path("vacuous_tail.json"), "--n", "inf")
         assert code == 0
         assert report["results"][0]["decision"] is True
-        assert report["results"][0]["max_verified"] == 8
+        assert report["results"][0]["max_verified"] == "inf"
 
     def test_schema_violation_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from lowerprev import (
     Gamble,
     HomomorphismTable,
     MassFunctional,
+    Space,
     compose_homomorphism,
     conjugate,
     inner_extension,
@@ -80,6 +81,23 @@ class TestIsNMonotone:
                 report = check(empty, order)
                 assert report.holds
                 assert report.max_verified == order
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(1, 2): 1},
+            {(0, 0, 0): 0, (1, 2, 0): 1, (2, 3, 1): 2},
+        ],
+        ids=["single-gamble", "three-chain"],
+    )
+    def test_clean_gamble_lattice_verifies_every_order(self, entries):
+        width = len(next(iter(entries)))
+        space = Space(("a", "b", "c")[:width])
+        p = Assessment.of(space, {Gamble.make(space, g): v for g, v in entries.items()})
+        for check in (is_n_monotone, is_n_alternating):
+            report = check(p, INF)
+            assert report.holds
+            assert report.max_verified == INF
 
     def test_downward_closure(self, abc):
         rng = random.Random(43)
