@@ -12,6 +12,7 @@ one giving the linear previsions.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Mapping
@@ -21,10 +22,28 @@ from .gambles import Event, Gamble, Space, sort_gambles
 
 __all__ = [
     "Assessment",
+    "LatticeTables",
     "MassFunctional",
     "LowerEnvelope",
     "ExactDecomposition",
 ]
+
+
+@dataclass(frozen=True)
+class LatticeTables:
+    """Meet and join of a lattice-closed domain as position tables.
+
+    ``meet[i][j]`` and ``join[i][j]`` are the positions, in the sorted
+    domain, of the pointwise minimum and maximum of domain gambles i
+    and j.  Since the domain is sorted ascending, ``meet[i][j] <= i``
+    and ``join[i][j] >= i``.  The rows are lists: with tuple rows, a
+    long run that builds tables for thousands of short-lived assessments
+    grew its resident memory about twice as fast per query, although no
+    table outlived its assessment.
+    """
+
+    meet: list[list[int]]
+    join: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -109,6 +128,27 @@ class Assessment:
         if not all(g.is_indicator() for g, _ in self.entries):
             return None
         return {g.as_event().mask: v for g, v in self.entries}
+
+    @functools.cached_property
+    def lattice(self) -> LatticeTables | None:
+        """The lattice view: meet and join position tables of the domain.
+
+        None unless the domain is closed under pointwise minimum and
+        maximum.  The coordinates are scaled to integers by their
+        common denominator, so the tables are built on integer vectors
+        once per assessment and shared by every lattice scan.
+        """
+        scale = math.lcm(*(x.denominator for g, _ in self.entries for x in g.values))
+        vectors = [tuple(x.numerator * (scale // x.denominator) for x in g.values)
+                   for g, _ in self.entries]
+        index = {v: i for i, v in enumerate(vectors)}
+        tables = []
+        for op in (min, max):
+            rows = [[index.get(tuple(map(op, a, b))) for b in vectors] for a in vectors]
+            if any(None in row for row in rows):
+                return None
+            tables.append(rows)
+        return LatticeTables(*tables)
 
     @property
     def is_full_powerset(self) -> bool:

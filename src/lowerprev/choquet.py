@@ -164,6 +164,8 @@ class AdditivityGap:
     via_extension: bool
 
     def check(self, assessment: Assessment) -> bool:
+        if self.f not in assessment or self.g not in assessment:
+            return False
         sum_value = exact_value(assessment, self.f + self.g)
         parts = assessment.value(self.f) + assessment.value(self.g)
         return (

@@ -112,7 +112,8 @@ class SureLossWitness:
 
     def check(self, assessment: Assessment) -> bool:
         return (
-            self == SureLossWitness.of(assessment, self.gambles, self.multiplicities)
+            all(g in assessment for g in self.gambles)
+            and self == SureLossWitness.of(assessment, self.gambles, self.multiplicities)
             and self.sup_combination < self.assessed_total
         )
 
@@ -129,7 +130,8 @@ class CoherenceGap:
 
     def check(self, assessment: Assessment) -> bool:
         return (
-            assessment.value(self.gamble) == self.assessed
+            self.gamble in assessment
+            and assessment.value(self.gamble) == self.assessed
             and self.extension != self.assessed
             and natural_extension_prevision(assessment, self.gamble) == self.extension
         )
@@ -144,6 +146,8 @@ class UnattainableGamble:
     gamble: Gamble
 
     def check(self, assessment: Assessment) -> bool:
+        if self.gamble not in assessment:
+            return False
         value = assessment.value(self.gamble)
         return _attainment_interval(assessment, self.gamble, value) is None
 
@@ -160,6 +164,8 @@ class NormIntervalGap:
     upper: Fraction
 
     def check(self, assessment: Assessment) -> bool:
+        if self.lower_gamble not in assessment or self.upper_gamble not in assessment:
+            return False
         low, high = (
             _attainment_interval(assessment, g, assessment.value(g))
             for g in (self.lower_gamble, self.upper_gamble)

@@ -87,10 +87,27 @@ class Space:
     def outcomes(self) -> range:
         return range(len(self.labels))
 
+    def budgeted_event_count(self) -> int:
+        """The number 2^m of events, checked against the closure budget.
+
+        Raises :class:`ClosureBudgetError` when it exceeds
+        :func:`default_closure_budget`, so routines over all events
+        fail before they build anything that size.
+        """
+        count = 1 << self.size
+        budget = default_closure_budget()
+        if count > budget:
+            raise ClosureBudgetError(
+                f"the {count} events of a {self.size}-outcome space exceed the budget of {budget}"
+            )
+        return count
+
     def all_events(self) -> Iterator["Event"]:
-        """All 2^m events, in mask order (empty event first, full last)."""
-        for mask in range(1 << self.size):
-            yield Event.from_mask(self, mask)
+        """All 2^m events, in mask order (empty event first, full last).
+
+        The budget is checked when called, before the first event is made.
+        """
+        return (Event.from_mask(self, mask) for mask in range(self.budgeted_event_count()))
 
 
 def _require_same_space(a, b) -> None:
@@ -396,7 +413,8 @@ class WedgeWitness:
 
     def check(self, table: "HomomorphismTable") -> bool:
         return (
-            table(meet(self.f, self.g)) == self.image_of_meet
+            all(h in table for h in (self.f, self.g, meet(self.f, self.g)))
+            and table(meet(self.f, self.g)) == self.image_of_meet
             and meet(table(self.f), table(self.g)) == self.meet_of_images
             and self.image_of_meet != self.meet_of_images
         )
@@ -432,6 +450,9 @@ class HomomorphismTable:
     @property
     def targets(self) -> tuple[Gamble, ...]:
         return tuple(dst for _, dst in self.pairs)
+
+    def __contains__(self, g: Gamble) -> bool:
+        return g.values in self._index
 
     def __call__(self, g: Gamble) -> Gamble:
         try:

@@ -4,25 +4,38 @@ An assessment on a lattice-closed domain is n-monotone when every
 alternating meet-sum of order up to n is nonnegative: for a base
 gamble f and companions f_1 ... f_p (p <= n),
 
-    sum over I of (-1)^|I| * value(f ^ meet of f_i, i in I)  >=  0,
+    D(f; f_1 .. f_p) = sum over I of (-1)^|I| * value(f ^ meet of f_i, i in I)  >=  0,
 
-where the empty index set contributes the bare value at f.  The
-checker enumerates tuples of distinct domain elements only: a repeated
-companion makes the index sets containing it cancel in pairs, so any
-multiset tuple reduces to a distinct tuple of smaller order (the test
-suite validates this reduction against full multiset enumeration on
-small lattices).  The same reduction bounds the order that can matter
-on a finite domain by its size minus one, which is how the infinite
-marker is decided on lattices of gambles.
+where the empty index set contributes the bare value at f.  Splitting
+the index sets on whether they contain p gives the difference
+recursion
+
+    D(f; f_1 .. f_p) = D(f; f_1 .. f_(p-1)) - D(f ^ f_p; f_1 .. f_(p-1)),
+
+so the sums of one companion tuple for every base at once cost one
+subtraction per base from the sums of its prefix.  The scan walks the
+companion tuples of each order in lexicographic order and keeps the
+prefix sums, on values scaled to integers by their common denominator
+and on meet and join position tables the assessment builds once
+(``Assessment.lattice``).  Only tuples of distinct domain elements
+are walked: a repeated companion makes the index sets containing it
+cancel in pairs, so any multiset tuple reduces to a distinct tuple of
+smaller order (the test suite validates this reduction against full
+multiset enumeration on small lattices).  For the same reason a base
+inside its own tuple sums to zero, and the same reduction bounds the
+order that can matter on a finite domain by its size minus one, which
+is how the infinite marker is decided on lattices of gambles.
 
 For set functions given on the full power set, complete monotonicity
 is decided instead through the inclusion-exclusion inversion: all
-coefficients on nonempty events nonnegative.  A negative coefficient
-at an event A converts back into an explicit violating tuple, namely A
-as base with the one-element-deleted subsets of A as companions, whose
-alternating sum is exactly that coefficient.  Event lattices below the
-full power set are first extended by their inner set function, which
-preserves n-monotonicity in both directions on the original domain.
+coefficients on nonempty events nonnegative.  The inversion is the
+fast transform, m * 2^(m-1) subtractions on m outcomes.  A negative
+coefficient at an event A converts back into an explicit violating
+tuple, namely A as base with the one-element-deleted subsets of A as
+companions, whose alternating sum is exactly that coefficient.  Event
+lattices below the full power set are first extended by their inner
+set function, which preserves n-monotonicity in both directions on the
+original domain.
 
 Violations are reported lexicographically first under the domain
 ordering (ascending value vectors), so fixtures are deterministic.
@@ -35,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable
 
 from .assessment import Assessment
 from .consistency import conjugate
@@ -46,7 +59,6 @@ from .gambles import (
     HomomorphismTable,
     Space,
     check_wedge_homomorphism,
-    is_lattice_closed,
     meet,
     join,
     sort_gambles,
@@ -108,8 +120,14 @@ class MonotonicityViolation:
         )
 
     def check(self, assessment: Assessment) -> bool:
-        """The recomputed alternating sum equals ``total`` and has the wrong sign."""
-        total = revalidate_violation(assessment, self)
+        """The recomputed alternating sum equals ``total`` and has the wrong sign.
+
+        False when a term of the sum lies outside the assessed domain.
+        """
+        try:
+            total = revalidate_violation(assessment, self)
+        except KeyError:
+            return False
         return total == self.total and (total > 0 if self.alternating else total < 0)
 
 
@@ -129,64 +147,68 @@ class MonotonicityReport:
         return self.holds
 
 
-def _domain_tables(assessment: Assessment, op) -> tuple[list[Gamble], list[list[int]], list[Fraction]]:
-    domain = list(assessment.domain)
-    if not is_lattice_closed(domain):
-        raise DomainError("assessment domain is not lattice-closed")
-    index = {g.values: i for i, g in enumerate(domain)}
-    combine = [
-        [index[op(a, b).values] for b in domain] for a in domain
-    ]
-    values = [v for _, v in assessment.entries]
-    return domain, combine, values
-
-
 def _alternating_scan(
-    domain: Sequence[Gamble],
-    combine: Sequence[Sequence[int]],
-    values: Sequence[Fraction],
-    max_order: int,
-    alternating: bool,
+    assessment: Assessment, max_order: int, alternating: bool
 ) -> MonotonicityViolation | None:
-    """First violating tuple in (order, base, companions) lexicographic order."""
-    size = len(domain)
-    for p in range(1, max_order + 1):
-        if p > size - 1:
-            break
-        for base in range(size):
-            others = [i for i in range(size) if i != base]
-            for combo in itertools.combinations(others, p):
-                total = ZERO
-                for bits in range(1 << p):
-                    acc = base
-                    sign = 1
-                    for k in range(p):
-                        if bits >> k & 1:
-                            acc = combine[acc][combo[k]]
-                            sign = -sign
-                    total += values[acc] if sign > 0 else -values[acc]
-                bad = total > 0 if alternating else total < 0
-                if bad:
-                    return MonotonicityViolation(
-                        order=p,
-                        base=domain[base],
-                        companions=tuple(domain[i] for i in combo),
-                        total=total,
-                        alternating=alternating,
-                    )
+    """First violating tuple in (order, base, companions) lexicographic order.
+
+    Values are scaled to integers (and negated for alternation, so a
+    violation is always a negative sum).  The companion tuples of each
+    order are walked in lexicographic order, and each tuple's sums for
+    all bases at once come from its prefix's by the difference
+    recursion ``D(b; c) = D(b; c') - D(b op c_p; c')``.  A base inside
+    its own tuple sums to exactly zero, so it never needs excluding.
+    """
+    lattice = assessment.lattice
+    if lattice is None:
+        raise DomainError("assessment domain is not lattice-closed")
+    table = lattice.join if alternating else lattice.meet
+    scale = math.lcm(*(v.denominator for _, v in assessment.entries))
+    sign = -1 if alternating else 1
+    values = [sign * v.numerator * (scale // v.denominator) for _, v in assessment.entries]
+    size = len(values)
+    for p in range(1, min(max_order, size - 1) + 1):
+        found = None
+        limit = size  # only bases below the best violation so far can improve on it
+        prefix = [values] + [None] * (p - 1)  # prefix[j]: sums of the first j companions
+        last = (-1,) * p
+        for combo in itertools.combinations(range(size), p):
+            k = 0
+            while combo[k] == last[k]:
+                k += 1
+            for j in range(k, p - 1):  # the prefixes from the first changed position on
+                vec = prefix[j]
+                prefix[j + 1] = [x - vec[i] for x, i in zip(vec, table[combo[j]])]
+            last = combo
+            vec = prefix[p - 1]
+            row = table[combo[-1]]
+            for b in range(limit):
+                if vec[b] < vec[row[b]]:
+                    found, limit = (combo, vec[b] - vec[row[b]]), b
+                    break
+            if limit == 0:
+                break
+        if found is not None:
+            combo, total = found
+            domain = assessment.domain
+            return MonotonicityViolation(
+                order=p,
+                base=domain[limit],
+                companions=tuple(domain[i] for i in combo),
+                total=Fraction(sign * total, scale),
+                alternating=alternating,
+            )
     return None
 
 
 def _certificate_scan(assessment: Assessment, via_inner: bool) -> MonotonicityViolation | None:
     """Complete-monotonicity certificate on a full power-set set function."""
-    transform = mobius(assessment)
-    for event, coefficient in transform.items():
-        if event.size == 0:
-            continue
-        if coefficient < 0:
-            members = sorted(event.members)
+    for mask, coefficient in mobius(assessment).coefficients:
+        if mask and coefficient < 0:
+            event = Event.from_mask(assessment.space, mask)
             companions = tuple(
-                Event(event.space, event.members - {w}).indicator() for w in members
+                Event(event.space, event.members - {w}).indicator()
+                for w in sorted(event.members)
             )
             return MonotonicityViolation(
                 order=event.size,
@@ -230,18 +252,16 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
             return MonotonicityReport(n, INFINITE if violation is None else 0, violation)
         masks = assessment.by_mask
         full = (1 << assessment.space.size) - 1
-        if 0 in masks and full in masks and is_lattice_closed(assessment.domain):
+        if 0 in masks and full in masks and assessment.lattice is not None:
             # the inner set function only coincides with (and preserves)
             # a monotone assessment, so order one is scanned first
-            domain, combine, values = _domain_tables(assessment, meet)
-            violation = _alternating_scan(domain, combine, values, 1, alternating=False)
+            violation = _alternating_scan(assessment, 1, alternating=False)
             if violation is not None:
                 return MonotonicityReport(n, 0, violation)
             violation = _certificate_scan(powerset_inner(assessment), via_inner=True)
             return MonotonicityReport(n, INFINITE if violation is None else 1, violation)
-    domain, combine, values = _domain_tables(assessment, meet)
-    cap = len(domain) - 1 if n == INFINITE else int(n)
-    violation = _alternating_scan(domain, combine, values, cap, alternating=False)
+    cap = len(assessment) - 1 if n == INFINITE else int(n)
+    violation = _alternating_scan(assessment, cap, alternating=False)
     if violation is not None:
         return MonotonicityReport(n, violation.order - 1, violation)
     return MonotonicityReport(n, n, None)
@@ -259,8 +279,7 @@ def is_n_alternating(assessment: Assessment, n: int | float) -> MonotonicityRepo
         report = is_n_monotone(conjugate(assessment), n)
         violation = None if report.violation is None else report.violation.conjugate()
         return MonotonicityReport(n, report.max_verified, violation)
-    domain, combine, values = _domain_tables(assessment, join)
-    violation = _alternating_scan(domain, combine, values, int(n), alternating=True)
+    violation = _alternating_scan(assessment, int(n), alternating=True)
     if violation is not None:
         return MonotonicityReport(n, violation.order - 1, violation)
     return MonotonicityReport(n, n, None)
@@ -367,6 +386,11 @@ def mobius(assessment: Assessment) -> MobiusTransform:
     """Invert a full power-set set function:
     ``m(A) = sum over B subset of A of (-1)^|A minus B| value(B)``.
 
+    Computed by the fast transform (Kennes 1992): for each outcome in
+    turn, every event containing it has the value of the event without
+    it subtracted, in place.  Raises :class:`ClosureBudgetError` when
+    the 2^m events exceed the closure budget.
+
     >>> from .gambles import Space
     >>> s = Space(("a", "b"))
     >>> uniform = Assessment.on_events(s, (
@@ -376,20 +400,16 @@ def mobius(assessment: Assessment) -> MobiusTransform:
     """
     if not assessment.is_full_powerset:
         raise DomainError("inversion needs the set function on the full power set")
+    count = assessment.space.budgeted_event_count()
     by_mask = assessment.by_mask
-    size = assessment.space.size
-    coefficients = []
-    for mask in range(1 << size):
-        total = ZERO
-        sub = mask
-        while True:
-            sign = -1 if (bin(mask ^ sub).count("1") % 2) else 1
-            total += sign * by_mask[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        coefficients.append((mask, total))
-    return MobiusTransform(assessment.space, tuple(coefficients))
+    coefficients = [by_mask[mask] for mask in range(count)]
+    bit = 1
+    while bit < count:
+        for mask in range(count):
+            if mask & bit:
+                coefficients[mask] -= coefficients[mask ^ bit]
+        bit <<= 1
+    return MobiusTransform(assessment.space, tuple(enumerate(coefficients)))
 
 
 def is_completely_monotone(assessment: Assessment) -> Verdict:
@@ -486,7 +506,8 @@ class MinPreservationGap:
 
     def check(self, assessment: Assessment) -> bool:
         return (
-            assessment.value(meet(self.f, self.g)) == self.value_of_meet
+            all(h in assessment for h in (self.f, self.g, meet(self.f, self.g)))
+            and assessment.value(meet(self.f, self.g)) == self.value_of_meet
             and min(assessment.value(self.f), assessment.value(self.g)) == self.min_of_values
             and self.value_of_meet != self.min_of_values
         )

@@ -3,8 +3,10 @@
 Nothing here calls the code paths under test: linear programs are
 solved by exhaustive vertex enumeration over square subsystems with
 Gaussian elimination, the single-gamble norm comes from the closed
-form of the two-parameter case analysis, and n-monotonicity is
-re-decided by full multiset enumeration.
+form of the two-parameter case analysis, n-monotonicity is re-decided
+by full multiset enumeration and by the ordered scan that sums all 2^p
+terms of every distinct tuple, and the inversion of a set function is
+the subset-loop definition.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from fractions import Fraction
 
 from lowerprev.assessment import Assessment
-from lowerprev.gambles import Gamble, meet
+from lowerprev.gambles import Gamble, join, meet
+from lowerprev.monotone import MonotonicityReport, MonotonicityViolation
 from lowerprev.simplex import LinearProgram, Relation
 
 ZERO = Fraction(0)
@@ -119,25 +122,76 @@ def definitional_norm_single(f0: Gamble, value: Fraction) -> Fraction | float:
     return lo
 
 
-def multiset_n_monotone(assessment: Assessment, n: int) -> bool:
-    """The defining condition quantified over tuples with repetition."""
+def alternating_sum(
+    values: dict, base: Gamble, companions: tuple[Gamble, ...], alternating: bool = False
+) -> Fraction:
+    """All 2^p signed terms of one tuple, meets (joins when alternating) taken directly."""
+    op = join if alternating else meet
+    total = ZERO
+    for bits in range(1 << len(companions)):
+        acc = base
+        sign = 1
+        for k, companion in enumerate(companions):
+            if bits >> k & 1:
+                acc = op(acc, companion)
+                sign = -sign
+        total += values[acc.values] * sign
+    return total
+
+
+def multiset_n_monotone(assessment: Assessment, n: int, alternating: bool = False) -> bool:
+    """The defining condition quantified over tuples with repetition
+    (n-alternation, with joins and nonpositive sums, when ``alternating``)."""
     domain = assessment.domain
     values = {g.values: v for g, v in assessment.entries}
     for p in range(1, n + 1):
         for base in domain:
             for tup in itertools.product(domain, repeat=p):
-                total = ZERO
-                for bits in range(1 << p):
-                    acc = base
-                    sign = 1
-                    for k in range(p):
-                        if bits >> k & 1:
-                            acc = meet(acc, tup[k])
-                            sign = -sign
-                    total += values[acc.values] * sign
-                if total < 0:
+                total = alternating_sum(values, base, tup, alternating)
+                if (total > 0) if alternating else (total < 0):
                     return False
     return True
+
+
+def ordered_scan(
+    assessment: Assessment, n: int | float, alternating: bool = False
+) -> MonotonicityReport:
+    """The report of the plain scan on a lattice-closed domain.
+
+    Orders p = 1 .. min(n, size - 1), then bases, then companion tuples
+    of distinct other gambles, each in ascending domain order; the
+    first tuple whose 2^p-term sum has the wrong sign is the violation.
+    An infinite ``n`` scans to size - 1, which the distinct-tuple
+    reduction makes exhaustive.
+    """
+    domain = assessment.domain
+    values = {g.values: v for g, v in assessment.entries}
+    cap = len(domain) - 1 if n == math.inf else int(n)
+    for p in range(1, min(cap, len(domain) - 1) + 1):
+        for b, base in enumerate(domain):
+            others = domain[:b] + domain[b + 1:]
+            for combo in itertools.combinations(others, p):
+                total = alternating_sum(values, base, combo, alternating)
+                if (total > 0) if alternating else (total < 0):
+                    violation = MonotonicityViolation(p, base, combo, total, alternating)
+                    return MonotonicityReport(n, p - 1, violation)
+    return MonotonicityReport(n, n, None)
+
+
+def subset_mobius(by_mask: dict[int, Fraction], size: int) -> list[Fraction]:
+    """``m(A) = sum over B subset of A of (-1)^|A minus B| value(B)``, by the subset loop."""
+    coefficients = []
+    for mask in range(1 << size):
+        total = ZERO
+        sub = mask
+        while True:
+            sign = -1 if bin(mask ^ sub).count("1") % 2 else 1
+            total += sign * by_mask[sub]
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        coefficients.append(total)
+    return coefficients
 
 
 def credal_vertices(assessment: Assessment, total: Fraction) -> list[tuple[Fraction, ...]]:

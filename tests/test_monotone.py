@@ -3,13 +3,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lowerprev import (
     Assessment,
+    ClosureBudgetError,
     DomainError,
     Event,
     Gamble,
     HomomorphismTable,
+    LowerEnvelope,
     MassFunctional,
     Space,
     compose_homomorphism,
@@ -17,6 +21,7 @@ from lowerprev import (
     inner_extension,
     inner_set_function,
     is_completely_monotone,
+    is_lattice_closed,
     is_n_alternating,
     is_n_monotone,
     join,
@@ -28,7 +33,7 @@ from lowerprev import (
     powerset_inner,
     vacuous,
 )
-from lowerprev.monotone import revalidate_violation
+from lowerprev.monotone import MonotonicityReport, MonotonicityViolation, revalidate_violation
 from lowerprev.sampling import (
     random_completely_monotone,
     random_event_lattice,
@@ -36,7 +41,7 @@ from lowerprev.sampling import (
     random_probability,
 )
 
-from .oracles import multiset_n_monotone
+from .oracles import multiset_n_monotone, ordered_scan, subset_mobius
 
 INF = math.inf
 
@@ -460,3 +465,172 @@ class TestMinimumPreserving:
             p = vacuous(Event.from_labels(abc, ["b"]), domain)
             assert minimum_preserving_check(p).holds
             assert is_n_monotone(p, INF).holds
+
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
+ORDERS = st.sampled_from([1, 2, 3, 4, INF])
+
+
+@st.composite
+def lattice_domains(draw) -> tuple[Space, tuple[Gamble, ...]]:
+    """A closure of gambles with non-integer coordinates, an event
+    lattice (the closure of a few events), or a full power set."""
+    m = draw(st.integers(2, 3))
+    space = Space(("a", "b", "c")[:m])
+    shape = draw(st.sampled_from(["gambles", "events", "powerset"]))
+    if shape == "powerset":
+        return space, tuple(e.indicator() for e in space.all_events())
+    if shape == "events":
+        masks = st.lists(st.integers(0, (1 << m) - 1), min_size=2, max_size=4, unique=True)
+        generators = [Event.from_mask(space, k).indicator() for k in draw(masks)]
+    else:
+        vectors = st.lists(st.tuples(*[SMALL] * m), min_size=2, max_size=4, unique=True)
+        generators = [Gamble.make(space, v) for v in draw(vectors)]
+    try:
+        return space, lattice_closure(generators, budget=8)
+    except ClosureBudgetError:
+        assume(False)
+
+
+def masses(space: Space):
+    weights = st.lists(st.integers(1, 4), min_size=space.size, max_size=space.size)
+    return weights.map(lambda w: MassFunctional.make(space, [F(x, sum(w)) for x in w]))
+
+
+@st.composite
+def lattice_assessments(draw) -> Assessment:
+    """A probability mass's values (monotone and alternating of every
+    order), a lower envelope's (monotone, often not 2-monotone), or
+    arbitrary values, on a lattice domain."""
+    space, domain = draw(lattice_domains())
+    valuation = draw(st.sampled_from(["mass", "envelope", "arbitrary"]))
+    if valuation == "mass":
+        return draw(masses(space)).restrict(domain)
+    if valuation == "envelope":
+        members = draw(st.lists(masses(space), min_size=2, max_size=3))
+        return LowerEnvelope(tuple(members)).restrict(domain)
+    values = draw(st.lists(SMALL, min_size=len(domain), max_size=len(domain)))
+    return Assessment.of(space, zip(domain, values))
+
+
+class TestScanAgainstOracles:
+    """The difference-recursion scan against the ordered 2^p-term scan
+    and the multiset enumeration, on whole reports."""
+
+    @PROPERTY
+    @given(lattice_assessments(), ORDERS, st.booleans())
+    def test_report_matches_ordered_scan(self, p, n, alternating):
+        assume(n != INF or len(p) <= 7)  # the reference scans every order below the size
+        check = is_n_alternating if alternating else is_n_monotone
+        report = check(p, n)
+        if n == INF and alternating:
+            # complete alternation is decided as complete monotonicity of the conjugate
+            subject = conjugate(p)
+            mirror = ordered_scan(subject, n)
+            violation = None if mirror.holds else mirror.violation.conjugate()
+            expected = MonotonicityReport(n, mirror.max_verified, violation)
+        else:
+            subject = p
+            expected = ordered_scan(p, n, alternating)
+        masks = subject.by_mask or {}
+        if n == INF and 0 in masks and (1 << p.space.size) - 1 in masks:
+            # decided by an inversion certificate, whose witness is the
+            # tuple of a negative coefficient, not the first tuple
+            assert report.holds == expected.holds
+        else:
+            assert report == expected
+        if report.violation is not None:
+            assert report.violation.check(p)
+
+    @PROPERTY
+    @given(lattice_assessments(), st.integers(1, 3), st.booleans())
+    def test_verdict_matches_multiset_enumeration(self, p, n, alternating):
+        assume(len(p) <= 6 or n <= 2)
+        check = is_n_alternating if alternating else is_n_monotone
+        assert check(p, n).holds == multiset_n_monotone(p, n, alternating)
+
+    @settings(PROPERTY, max_examples=40)
+    @given(lattice_domains(), st.data())
+    def test_non_lattice_domain_rejected(self, drawn, data):
+        space, domain = drawn
+        holes = [
+            domain[:k] + domain[k + 1:]
+            for k in range(len(domain))
+            if not is_lattice_closed(domain[:k] + domain[k + 1:])
+        ]
+        assume(holes)
+        p = Assessment.of(space, ((g, 0) for g in data.draw(st.sampled_from(holes))))
+        for check in (is_n_monotone, is_n_alternating):
+            for n in (1, 2, INF):
+                with pytest.raises(DomainError, match="not lattice-closed"):
+                    check(p, n)
+
+
+class TestFastMobius:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_subset_loop(self, m):
+        rng = random.Random(109 + m)
+        space = Space(tuple("abcdefg"[:m]))
+        p = Assessment.on_events(
+            space, ((e, F(rng.randint(-6, 6), rng.randint(1, 4))) for e in space.all_events())
+        )
+        transform = mobius(p)
+        expected = subset_mobius(p.by_mask, m)
+        assert transform.coefficients == tuple(enumerate(expected))
+        for event in space.all_events():
+            assert transform.reconstruct(event) == p.value(event.indicator())
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_certificate_witness_is_first_negative_coefficient(self, m):
+        rng = random.Random(113 + m)
+        space = Space(tuple("abcde"[:m]))
+        for _ in range(4):
+            values = {e: F(rng.randint(0, 4), 4) for e in space.all_events()}
+            values[Event.empty(space)] = F(0)
+            p = Assessment.on_events(space, values)
+            coefficients = subset_mobius(p.by_mask, m)
+            negative = [k for k in range(1, 1 << m) if coefficients[k] < 0]
+            verdict = is_completely_monotone(p)
+            report = is_n_monotone(p, INF)
+            assert verdict.holds == report.holds == (not negative)
+            if not negative:
+                continue
+            event = Event.from_mask(space, negative[0])
+            expected = MonotonicityViolation(
+                order=event.size,
+                base=event.indicator(),
+                companions=tuple(
+                    Event(space, event.members - {w}).indicator() for w in sorted(event.members)
+                ),
+                total=coefficients[negative[0]],
+            )
+            assert verdict.witness == report.violation == expected
+            assert verdict.info == {"event": event.labels, "coefficient": expected.total}
+
+
+class TestEventBudget:
+    """Routines over all 2^m events fail fast on the closure budget."""
+
+    @pytest.fixture
+    def full(self, abc):
+        return Assessment.on_events(abc, ((e, F(e.size, 3)) for e in abc.all_events()))
+
+    @pytest.fixture
+    def chain(self, abc):
+        return Assessment.on_events(abc, {Event.empty(abc): 0, Event.full(abc): 1})
+
+    def test_over_budget_raises(self, abc, full, chain, monkeypatch):
+        monkeypatch.setenv("LOWERPREV_LATTICE_BUDGET", "7")
+        with pytest.raises(ClosureBudgetError):
+            abc.all_events()  # raised on the call, before any event is made
+        with pytest.raises(ClosureBudgetError):
+            mobius(full)
+        with pytest.raises(ClosureBudgetError):
+            powerset_inner(chain)
+
+    def test_at_budget_runs(self, abc, full, chain, monkeypatch):
+        monkeypatch.setenv("LOWERPREV_LATTICE_BUDGET", "8")
+        assert len(list(abc.all_events())) == 8
+        assert len(mobius(full).coefficients) == 8
+        assert len(powerset_inner(chain)) == 8

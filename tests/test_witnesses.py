@@ -2,8 +2,9 @@
 
 Each case builds a witness through the operation that produces it,
 checks that ``check`` accepts it against the subject it was produced
-from, and that ``check`` rejects it once ``dataclasses.replace``
-perturbs a single field.
+from, that ``check`` rejects it once ``dataclasses.replace`` perturbs a
+single field, and that ``check`` returns False (rather than raising)
+when a gamble field is replaced by one outside the subject's domain.
 """
 
 from __future__ import annotations
@@ -150,6 +151,43 @@ def test_check_rejects_perturbed_witness(case):
     perturbed = dataclasses.replace(witness, **{name: value})
     assert perturbed != witness
     assert perturbed.check(subject) is False
+
+
+def outside(witness, name: str):
+    """``witness`` with its gamble field ``name`` (or the first gamble of
+    a tuple field) replaced by the constant -2, which no subject assesses
+    and which is its own meet with every gamble of the subjects."""
+    current = getattr(witness, name)
+    first = current[0] if isinstance(current, tuple) else current
+    stranger = Gamble.constant(first.space, -2)
+    value = (stranger,) + current[1:] if isinstance(current, tuple) else stranger
+    return dataclasses.replace(witness, **{name: value})
+
+
+# the gamble field of each witness kind; a dominating mass names no gamble
+GAMBLE_FIELDS = {
+    sure_loss_combination: "gambles",
+    coherence_gap: "gamble",
+    unattainable_gamble: "gamble",
+    norm_interval_gap: "upper_gamble",
+    monotonicity_violation: "base",
+    alternating_violation: "base",
+    additivity_gap: "f",
+    min_preservation_gap: "g",
+    wedge_gap: "f",
+}
+
+
+@pytest.mark.parametrize("case", GAMBLE_FIELDS, ids=lambda c: c.__name__)
+def test_check_rejects_gamble_outside_domain(case):
+    witness, subject, _, _ = case()
+    stranger = outside(witness, GAMBLE_FIELDS[case])
+    assert stranger.check(subject) is False
+
+
+def test_gamble_fields_cover_every_kind():
+    kinds = {type(case()[0]).kind for case in GAMBLE_FIELDS}
+    assert kinds | {"dominating_mass"} == {type(case()[0]).kind for case in CASES}
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
