@@ -150,6 +150,17 @@ class Assessment:
             tables.append(rows)
         return LatticeTables(*tables)
 
+    @functools.cached_property
+    def outcome_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Minus every domain gamble's value, one tuple per outcome.
+
+        Built once per assessment: these are the coefficient rows of the
+        dual consistency programs, which every sure-loss, extension and
+        norm program on the assessment shares.
+        """
+        columns = [g.values for g, _ in self.entries]
+        return tuple([tuple([-col[w] for col in columns]) for w in range(self.space.size)])
+
     @property
     def is_full_powerset(self) -> bool:
         """True when the assessment is a set function on all 2^m events."""

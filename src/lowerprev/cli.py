@@ -208,6 +208,10 @@ def _cmd_mobius(doc, args):
 
 
 def _cmd_choquet(doc, args):
+    if not doc.assessment.is_lower_probability():
+        raise _QueryError(
+            "choquet needs an assessment on events; this document assesses gambles"
+        )
     flags = {"gamble": args.gamble}
     extended = not doc.assessment.is_full_powerset
     set_function = powerset_inner(doc.assessment) if extended else doc.assessment

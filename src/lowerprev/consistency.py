@@ -80,6 +80,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 INF = math.inf
 
 
@@ -199,22 +200,22 @@ def _dual_program(
     that the origin is feasible and the dual cannot be INFEASIBLE.
     """
     pinned = tuple(pinned)
-    entries = assessment.entries + pinned
-    columns = [gamble.values for gamble, _ in entries]
-    prices = [value for _, value in entries]
-    nonnegative = [True] * len(assessment.entries) + [False] * len(pinned)
+    costs = [-value for _, value in assessment.entries] + [-value for _, value in pinned]
+    nonnegative = (True,) * len(assessment.entries) + (False,) * len(pinned)
+    rows = assessment.outcome_rows
+    if pinned:
+        rows = [row + tuple([-g.values[w] for g, _ in pinned]) for w, row in enumerate(rows)]
     shift = offset = ZERO
     if total is not None:
         shift = min(objective)
         offset = total * shift
-        columns.insert(0, (ONE,) * assessment.space.size)
-        prices.insert(0, total)
-        nonnegative.insert(0, False)
-    rows = tuple(
-        Constraint(tuple(-col[w] for col in columns), Relation.GE, shift - c)
-        for w, c in enumerate(objective)
-    )
-    program = LinearProgram(tuple(-p for p in prices), rows, tuple(nonnegative))
+        rows = [(MINUS_ONE,) + row for row in rows]
+        costs.insert(0, -total)
+        nonnegative = (False,) + nonnegative
+    constraints = tuple([
+        Constraint(row, Relation.GE, shift - c) for row, c in zip(rows, objective)
+    ])
+    program = LinearProgram(tuple(costs), constraints, nonnegative)
     outcome = simplex.solve(program)
     if outcome.status is not LPStatus.OPTIMAL:
         return outcome, None

@@ -52,13 +52,14 @@ from typing import ClassVar, Iterable
 
 from .assessment import Assessment
 from .consistency import conjugate
-from .errors import DomainError
+from .errors import ClosureBudgetError, DomainError
 from .gambles import (
     Event,
     Gamble,
     HomomorphismTable,
     Space,
     check_wedge_homomorphism,
+    default_closure_budget,
     meet,
     join,
     sort_gambles,
@@ -148,7 +149,7 @@ class MonotonicityReport:
 
 
 def _alternating_scan(
-    assessment: Assessment, max_order: int, alternating: bool
+    assessment: Assessment, max_order: int, alternating: bool, budget: int | None = None
 ) -> MonotonicityViolation | None:
     """First violating tuple in (order, base, companions) lexicographic order.
 
@@ -158,6 +159,8 @@ def _alternating_scan(
     all bases at once come from its prefix's by the difference
     recursion ``D(b; c) = D(b; c') - D(b op c_p; c')``.  A base inside
     its own tuple sums to exactly zero, so it never needs excluding.
+    With a ``budget``, raises :class:`ClosureBudgetError` before an
+    order whose tuples would bring the count visited past it.
     """
     lattice = assessment.lattice
     if lattice is None:
@@ -167,7 +170,14 @@ def _alternating_scan(
     sign = -1 if alternating else 1
     values = [sign * v.numerator * (scale // v.denominator) for _, v in assessment.entries]
     size = len(values)
+    visited = 0
     for p in range(1, min(max_order, size - 1) + 1):
+        visited += math.comb(size, p)
+        if budget is not None and visited > budget:
+            raise ClosureBudgetError(
+                f"scanning order {p} of a {size}-element lattice brings the companion "
+                f"tuples to {visited}, over the budget of {budget}"
+            )
         found = None
         limit = size  # only bases below the best violation so far can improve on it
         prefix = [values] + [None] * (p - 1)  # prefix[j]: sums of the first j companions
@@ -234,7 +244,10 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
     containing the empty and full events by the certificate of the
     inner set function, and on lattices of gambles by scanning up to
     the domain size minus one, which the distinct-tuple reduction makes
-    exhaustive, so a clean scan verifies every order (``inf``).
+    exhaustive, so a clean scan verifies every order (``inf``).  That
+    scan counts each order's companion tuples (``2**size - 2`` in all)
+    before walking them, and raises :class:`ClosureBudgetError` when
+    the count passes the closure budget before a violation is found.
 
     >>> from .gambles import Space
     >>> s = Space(("a", "b"))
@@ -261,7 +274,8 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
             violation = _certificate_scan(powerset_inner(assessment), via_inner=True)
             return MonotonicityReport(n, INFINITE if violation is None else 1, violation)
     cap = len(assessment) - 1 if n == INFINITE else int(n)
-    violation = _alternating_scan(assessment, cap, alternating=False)
+    budget = default_closure_budget() if n == INFINITE else None
+    violation = _alternating_scan(assessment, cap, alternating=False, budget=budget)
     if violation is not None:
         return MonotonicityReport(n, violation.order - 1, violation)
     return MonotonicityReport(n, n, None)
@@ -272,7 +286,8 @@ def is_n_alternating(assessment: Assessment, n: int | float) -> MonotonicityRepo
 
     Agrees with running :func:`is_n_monotone` on the conjugate
     assessment over the negated domain; the direct join form is used so
-    witnesses stay inside the input domain.
+    witnesses stay inside the input domain.  The order ``inf`` is
+    decided on the conjugate, under the same closure budget.
     """
     _check_order(n)
     if n == INFINITE:

@@ -1,16 +1,33 @@
 """Exact-rational linear programming.
 
-A dense two-phase primal simplex over :class:`fractions.Fraction`
-entries, with Bland's rule for anti-cycling.  Problem sizes in this
-library are desk scale (tens of variables and constraints), so the
-solver favours exactness and determinism over speed: identical
-programs always produce identical outcomes.
+A dense two-phase primal simplex with Bland's rule for anti-cycling.
+Programs are posed and answered in :class:`fractions.Fraction`; the
+tableau in between is fraction-free (Edmonds; Bareiss 1968, *Math.
+Comp.* 22): integer rows, right-hand side last, over one common
+denominator ``d > 0``.  A pivot on entry ``p`` of row i replaces every
+other row by ``(p * row - f * row_i) // d``, where ``f`` is that row's
+entry in the pivot column, and sets ``d = p``.  Each new entry is,
+up to sign, a minor of the integer start tableau, so the division is
+exact, and entries grow like determinants instead of like the sums of
+fractions.  The reduced-cost row is updated the same way, and the ratio
+test compares ratios by cross-multiplication, so the pivot path is the
+one a ``Fraction`` tableau takes.  Problem sizes in this library are
+desk scale (tens of variables and constraints), so the solver favours
+exactness and determinism over speed: identical programs always
+produce identical outcomes.
+
+The start is canonical: row r, scaled by the lcm ``s_r`` of its
+denominators, is an integer row with ``s_r`` in its start column, and
+every row is multiplied out to ``d = prod(s_r)``.  That is the state
+Bareiss pivoting reaches on the start columns, which the exact
+divisions rely on.
 
 Every outcome carries its own proof, re-checked by direct substitution
-before it is returned: an optimum comes with its optimizer and the row
-duals (dual-feasible, with the same objective value), an unbounded
-program with a ray along which the objective decreases without bound,
-and an infeasible program with a Farkas certificate.
+into the program's own coefficients before it is returned: an optimum
+comes with its optimizer and the row duals (dual-feasible, with the
+same objective value), an unbounded program with a ray along which the
+objective decreases without bound, and an infeasible program with a
+Farkas certificate.
 
 A ``>=`` row whose right-hand side is at most zero starts with its
 surplus variable basic (the row is negated so that the surplus has
@@ -25,6 +42,7 @@ two nonnegative variables, which keeps the tableau uniform.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +58,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LPFormatError(ValueError):
@@ -134,89 +151,101 @@ class LPOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau; columns = structural, surplus, artificial."""
+    """Fraction-free simplex tableau; columns = structural, surplus, artificial.
 
-    def __init__(
-        self,
-        rows: list[list[Fraction]],
-        rhs: list[Fraction],
-        basis: list[int],
-        ncols: int,
-    ):
+    ``rows[i]`` is row i as integers with its right-hand side last, and
+    the tableau proper is ``rows / d`` for one common denominator
+    ``d > 0``: a basic column holds ``d`` in its row and 0 elsewhere.
+    """
+
+    def __init__(self, rows: list[list[int]], d: int, basis: list[int], ncols: int):
         self.rows = rows
-        self.rhs = rhs
+        self.d = d
         self.basis = basis
         self.ncols = ncols
+        self.reduced: list[int] = []
 
-    def pivot(self, i: int, j: int) -> list[int]:
-        """Pivot on (i, j); returns the nonzero columns of the new row i."""
-        inv = ONE / self.rows[i][j]
+    def pivot(self, i: int, j: int) -> None:
+        """Pivot on (i, j).
+
+        Every other row, the reduced-cost row included, becomes
+        ``(p * row - f * row_i) // d``, an exact division (Bareiss
+        1968), and ``p`` becomes the new ``d``.  A negative pivot
+        negates row i first, which leaves ``row_i / p`` as it is and
+        keeps ``d`` positive.
+        """
         row_i = self.rows[i]
-        support = [c for c, a in enumerate(row_i) if a]
-        for c in support:
-            row_i[c] *= inv
-        self.rhs[i] *= inv
+        p = row_i[j]
+        if p < 0:
+            p = -p
+            row_i = self.rows[i] = [-a for a in row_i]
+        d = self.d
         for k, row_k in enumerate(self.rows):
-            if k == i:
-                continue
-            factor = row_k[j]
-            if factor == 0:
-                continue
-            for c in support:
-                row_k[c] -= factor * row_i[c]
-            self.rhs[k] -= factor * self.rhs[i]
+            if k != i:
+                self.rows[k] = _eliminate(row_k, row_i, p, d, j)
+        self.reduced = _eliminate(self.reduced, row_i, p, d, j)
+        self.d = p
         self.basis[i] = j
-        return support
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        # r_j = c_j - sum_i c_{basis_i} T_ij, computed fresh for the basis
-        multipliers = [cost[b] for b in self.basis]
-        reduced = list(cost)
-        for i, mult in enumerate(multipliers):
-            if mult == 0:
-                continue
-            row = self.rows[i]
-            for j in range(self.ncols):
-                if row[j] != 0:
-                    reduced[j] -= mult * row[j]
-        return reduced
-
-    def objective_value(self, cost: list[Fraction]) -> Fraction:
-        return sum((cost[b] * self.rhs[i] for i, b in enumerate(self.basis)), ZERO)
-
-    def run(self, cost: list[Fraction], allowed: Sequence[bool]) -> int | None:
-        """Minimize with Bland's rule.
+    def run(self, cost: list[int], allowed: Sequence[bool]) -> int | None:
+        """Minimize the integer ``cost`` with Bland's rule.
 
         Returns None at an optimum, or the entering column whose ratio
         test found no leaving row when the objective is unbounded.
+        Leaves ``self.reduced``: ``d`` times the reduced costs of
+        ``cost``, with minus ``d`` times the objective value last.
         """
-        reduced = self.reduced_costs(cost)
+        self.reduced = [self.d * c for c in cost] + [0]
+        for row, b in zip(self.rows, self.basis):
+            if cost[b]:
+                self.reduced = [r - cost[b] * a for r, a in zip(self.reduced, row)]
         while True:
             entering = -1
             for j in range(self.ncols):
-                if allowed[j] and reduced[j] < 0:
+                if allowed[j] and self.reduced[j] < 0:
                     entering = j
                     break
             if entering < 0:
                 return None
+            # least rhs / a over a > 0, compared by cross-multiplication;
+            # ties go to the smaller basic column
             leaving = -1
-            best = None
-            for i in range(len(self.rows)):
-                a = self.rows[i][entering]
+            for i, row in enumerate(self.rows):
+                a = row[entering]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
+                    if leaving < 0:
+                        leaving, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving]):
+                        leaving, num, den = i, row[-1], a
             if leaving < 0:
                 return entering
-            # the reduced-cost row is eliminated like any other row
-            factor = reduced[entering]
-            row = self.rows[leaving]
-            for c in self.pivot(leaving, entering):
-                reduced[c] -= factor * row[c]
+            self.pivot(leaving, entering)
+
+
+def _eliminate(row: list[int], row_i: list[int], p: int, d: int, j: int) -> list[int]:
+    """``row`` after the pivot on ``p = row_i[j]``; untouched when ``f`` and ``p - d`` are 0."""
+    f = row[j]
+    if f:
+        return [(p * a - f * b) // d for a, b in zip(row, row_i)]
+    if p == d:
+        return row
+    return [p * a // d for a in row]
+
+
+def _lcm_of_denominators(values: Sequence[Fraction]) -> int:
+    # a running lcm: math.lcm(*generator) over every row of every program
+    # raised the peak resident memory of long runs
+    scale = 1
+    for a in values:
+        scale = math.lcm(scale, a.denominator)
+    return scale
+
+
+def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
+    """``scale * values`` as integers; ``scale`` is a multiple of every denominator."""
+    return [a.numerator * (scale // a.denominator) for a in values]
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
@@ -251,63 +280,70 @@ def solve(lp: LinearProgram) -> LPOutcome:
             start.append(ncols)
             ncols += 1
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    row_sign: list[int] = []
+    # Each row is sign-normalised so that its start column holds +1, then
+    # multiplied out to d = prod(s_r): the canonical start (see above).
+    row_sign = [
+        -1 if row.rhs < 0 or start[r] < art0 else +1
+        for r, row in enumerate(lp.constraints)
+    ]
+    d = 1
+    for row in lp.constraints:
+        d *= math.lcm(_lcm_of_denominators(row.coeffs), row.rhs.denominator)
+    rows: list[list[int]] = []
     for r, row in enumerate(lp.constraints):
-        coeffs = [ZERO] * ncols
-        for c, (var, sign) in enumerate(col_of):
-            coeffs[c] = sign * row.coeffs[var]
+        sign = row_sign[r]
+        coeffs = _scaled(row.coeffs, d)
+        scaled = [sign * s * coeffs[var] for var, s in col_of]
+        scaled += [0] * (ncols - nstruct)
         if surplus_col[r] >= 0:
-            coeffs[surplus_col[r]] = Fraction(-1)
-        sign = -1 if row.rhs < 0 or start[r] < art0 else +1
-        if sign < 0:
-            coeffs = [-a for a in coeffs]
-        coeffs[start[r]] = ONE
-        rows.append(coeffs)
-        rhs.append(sign * row.rhs)
-        row_sign.append(sign)
+            scaled[surplus_col[r]] = -sign * d
+        scaled[start[r]] = d
+        scaled.append(sign * row.rhs.numerator * (d // row.rhs.denominator))
+        rows.append(scaled)
 
-    tableau = _Tableau(rows, rhs, list(start), ncols)
+    tableau = _Tableau(rows, d, list(start), ncols)
 
     if ncols > art0:
         # Phase one: drive the sum of artificials to zero.
-        phase1_cost = [ZERO] * art0 + [ONE] * (ncols - art0)
+        phase1_cost = [0] * art0 + [1] * (ncols - art0)
         tableau.run(phase1_cost, [True] * ncols)
-        if tableau.objective_value(phase1_cost) > 0:
-            certificate = _row_multipliers(tableau, phase1_cost, start, row_sign)
+        if tableau.reduced[-1] < 0:  # a positive sum of artificials
+            certificate = _row_multipliers(tableau, phase1_cost, 1, start, row_sign)
             _check_certificate(lp, certificate)
             return LPOutcome(LPStatus.INFEASIBLE, certificate=certificate)
         _expel_artificials(tableau, art0)
 
-    # Phase two over structural and surplus columns only.
+    # Phase two over structural and surplus columns only, on the
+    # objective scaled to integers.
     allowed = [j < art0 for j in range(ncols)]
-    phase2_cost = [ZERO] * ncols
-    for c, (var, sign) in enumerate(col_of):
-        phase2_cost[c] = sign * lp.objective[var]
+    cost_scale = _lcm_of_denominators(lp.objective)
+    objective = _scaled(lp.objective, cost_scale)
+    phase2_cost = [sign * objective[var] for var, sign in col_of]
+    phase2_cost += [0] * (ncols - nstruct)
     entering = tableau.run(phase2_cost, allowed)
+    d = tableau.d
     if entering is not None:
         # Raise the entering column by one; the basic columns follow.
-        steps = [(entering, ONE)]
-        steps += [(b, -tableau.rows[i][entering]) for i, b in enumerate(tableau.basis)]
-        d = [ZERO] * nvars
+        steps = [(entering, d)]
+        steps += [(b, -row[entering]) for row, b in zip(tableau.rows, tableau.basis)]
+        direction = [0] * nvars
         for col, step in steps:
             if col < nstruct:
                 var, sign = col_of[col]
-                d[var] += sign * step
-        ray = tuple(d)
+                direction[var] += sign * step
+        ray = tuple([Fraction(v, d) for v in direction])
         _check_ray(lp, ray)
         return LPOutcome(LPStatus.UNBOUNDED, ray=ray)
 
-    x = [ZERO] * nvars
-    for i, b in enumerate(tableau.basis):
+    x = [0] * nvars
+    for row, b in zip(tableau.rows, tableau.basis):
         if b < nstruct:
             var, sign = col_of[b]
-            x[var] += sign * tableau.rhs[i]
-    optimizer = tuple(x)
+            x[var] += sign * row[-1]
+    optimizer = tuple([Fraction(v, d) for v in x])
     value = sum((c * v for c, v in zip(lp.objective, optimizer)), ZERO)
     _check_feasible(lp, optimizer)
-    duals = _row_multipliers(tableau, phase2_cost, start, row_sign)
+    duals = _row_multipliers(tableau, phase2_cost, cost_scale, start, row_sign)
     _check_duals(lp, duals, value)
     return LPOutcome(LPStatus.OPTIMAL, value=value, optimizer=optimizer, duals=duals)
 
@@ -316,18 +352,17 @@ def _expel_artificials(tableau: _Tableau, art0: int) -> None:
     """Pivot zero-valued artificials out of the basis; drop redundant rows."""
     i = 0
     while i < len(tableau.rows):
-        b = tableau.basis[i]
-        if b >= art0:
+        if tableau.basis[i] >= art0:
+            row = tableau.rows[i]
             pivot_col = -1
             for j in range(art0):
-                if tableau.rows[i][j] != 0:
+                if row[j] != 0:
                     pivot_col = j
                     break
             if pivot_col >= 0:
                 tableau.pivot(i, pivot_col)
             else:
                 del tableau.rows[i]
-                del tableau.rhs[i]
                 del tableau.basis[i]
                 continue
         i += 1
@@ -335,18 +370,24 @@ def _expel_artificials(tableau: _Tableau, art0: int) -> None:
 
 def _row_multipliers(
     tableau: _Tableau,
-    cost: list[Fraction],
+    cost: list[int],
+    cost_scale: int,
     start: list[int],
     row_sign: list[int],
 ) -> tuple[Fraction, ...]:
-    """Simplex multipliers of the original rows for the current basis.
+    """Simplex multipliers of the original rows for the last run's basis.
 
-    Row r's start column is the unit vector e_r in the sign-normalised
-    row space, so its reduced cost is ``cost - y_r`` there; undoing the
-    normalisation gives the multiplier of the row as the caller wrote it.
+    ``cost`` is ``cost_scale`` times the run's costs.  Row r's start
+    column is the unit vector e_r in the sign-normalised row space, so
+    its reduced cost is ``cost - y_r`` there; undoing the normalisation
+    gives the multiplier of the row as the caller wrote it.
     """
-    reduced = tableau.reduced_costs(cost)
-    return tuple(sign * (cost[j] - reduced[j]) for j, sign in zip(start, row_sign))
+    d, reduced = tableau.d, tableau.reduced
+    scale = d * cost_scale
+    return tuple([
+        Fraction(sign * (d * cost[j] - reduced[j]), scale)
+        for j, sign in zip(start, row_sign)
+    ])
 
 
 def _column_sums(lp: LinearProgram, y: tuple[Fraction, ...]) -> list[Fraction]:

@@ -6,7 +6,8 @@ Gaussian elimination, the single-gamble norm comes from the closed
 form of the two-parameter case analysis, n-monotonicity is re-decided
 by full multiset enumeration and by the ordered scan that sums all 2^p
 terms of every distinct tuple, and the inversion of a set function is
-the subset-loop definition.
+the subset-loop definition.  The library's integer simplex is compared
+with the same two-phase simplex on a ``Fraction`` tableau.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from lowerprev.assessment import Assessment
 from lowerprev.gambles import Gamble, join, meet
 from lowerprev.monotone import MonotonicityReport, MonotonicityViolation
-from lowerprev.simplex import LinearProgram, Relation
+from lowerprev.simplex import LinearProgram, LPOutcome, LPStatus, Relation
 
 ZERO = Fraction(0)
 
@@ -220,3 +221,138 @@ def credal_vertices(assessment: Assessment, total: Fraction) -> list[tuple[Fract
         ):
             vertices.add(tuple(x))
     return sorted(vertices)
+
+
+class _FractionTableau:
+    """Dense simplex tableau over ``Fraction``; columns = structural, surplus, artificial."""
+
+    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int], ncols: int):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = basis
+        self.ncols = ncols
+
+    def pivot(self, i: int, j: int) -> None:
+        inv = 1 / self.rows[i][j]
+        self.rows[i] = [a * inv for a in self.rows[i]]
+        self.rhs[i] *= inv
+        for k, row_k in enumerate(self.rows):
+            factor = row_k[j]
+            if k != i and factor != 0:
+                self.rows[k] = [a - factor * b for a, b in zip(row_k, self.rows[i])]
+                self.rhs[k] -= factor * self.rhs[i]
+        self.basis[i] = j
+
+    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
+        reduced = list(cost)
+        for row, b in zip(self.rows, self.basis):
+            reduced = [r - cost[b] * a for r, a in zip(reduced, row)]
+        return reduced
+
+    def run(self, cost: list[Fraction], allowed: list[bool]) -> int | None:
+        """Bland's rule; None at an optimum, else the unbounded entering column."""
+        while True:
+            reduced = self.reduced_costs(cost)
+            entering = next(
+                (j for j in range(self.ncols) if allowed[j] and reduced[j] < 0), -1
+            )
+            if entering < 0:
+                return None
+            leaving, best = -1, None
+            for i, row in enumerate(self.rows):
+                if row[entering] > 0:
+                    ratio = self.rhs[i] / row[entering]
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leaving]
+                    ):
+                        leaving, best = i, ratio
+            if leaving < 0:
+                return entering
+            self.pivot(leaving, entering)
+
+
+def fraction_simplex(lp: LinearProgram) -> LPOutcome:
+    """The two-phase Bland's-rule simplex on a ``Fraction`` tableau.
+
+    The same start (a ``>=`` row with rhs <= 0 on its surplus, every
+    other row on an artificial), the same entering and leaving rules and
+    the same read-out of optimizer, duals, certificate and ray as the
+    library's solver, with every entry a ``Fraction`` and the reduced
+    costs recomputed from scratch after every pivot.  No substitution
+    check is made here.
+    """
+    nvars = len(lp.objective)
+    col_of = []  # structural column -> (var, sign)
+    for j in range(nvars):
+        col_of.append((j, 1))
+        if not lp.nonnegative[j]:
+            col_of.append((j, -1))
+    nstruct = len(col_of)
+    surplus_col = []
+    ncols = nstruct
+    for row in lp.constraints:
+        surplus_col.append(ncols if row.relation is Relation.GE else -1)
+        ncols += row.relation is Relation.GE
+    art0 = ncols
+    start = []
+    for r, row in enumerate(lp.constraints):
+        if row.relation is Relation.GE and row.rhs <= 0:
+            start.append(surplus_col[r])
+        else:
+            start.append(ncols)
+            ncols += 1
+    rows, rhs, row_sign = [], [], []
+    for r, row in enumerate(lp.constraints):
+        coeffs = [ZERO] * ncols
+        for c, (var, sign) in enumerate(col_of):
+            coeffs[c] = sign * row.coeffs[var]
+        if surplus_col[r] >= 0:
+            coeffs[surplus_col[r]] = Fraction(-1)
+        sign = -1 if row.rhs < 0 or start[r] < art0 else 1
+        coeffs = [sign * a for a in coeffs]
+        coeffs[start[r]] = Fraction(1)
+        rows.append(coeffs)
+        rhs.append(sign * row.rhs)
+        row_sign.append(sign)
+    tableau = _FractionTableau(rows, rhs, list(start), ncols)
+
+    def multipliers(cost):
+        reduced = tableau.reduced_costs(cost)
+        return tuple(sign * (cost[j] - reduced[j]) for j, sign in zip(start, row_sign))
+
+    if ncols > art0:
+        phase1 = [ZERO] * art0 + [Fraction(1)] * (ncols - art0)
+        tableau.run(phase1, [True] * ncols)
+        if sum((phase1[b] * v for b, v in zip(tableau.basis, tableau.rhs)), ZERO) > 0:
+            return LPOutcome(LPStatus.INFEASIBLE, certificate=multipliers(phase1))
+        i = 0
+        while i < len(tableau.rows):
+            if tableau.basis[i] >= art0:
+                col = next((j for j in range(art0) if tableau.rows[i][j] != 0), -1)
+                if col < 0:
+                    del tableau.rows[i], tableau.rhs[i], tableau.basis[i]
+                    continue
+                tableau.pivot(i, col)
+            i += 1
+    phase2 = [ZERO] * ncols
+    for c, (var, sign) in enumerate(col_of):
+        phase2[c] = sign * lp.objective[var]
+    entering = tableau.run(phase2, [j < art0 for j in range(ncols)])
+    if entering is not None:
+        ray = [ZERO] * nvars
+        steps = [(entering, Fraction(1))]
+        steps += [(b, -row[entering]) for row, b in zip(tableau.rows, tableau.basis)]
+        for col, step in steps:
+            if col < nstruct:
+                var, sign = col_of[col]
+                ray[var] += sign * step
+        return LPOutcome(LPStatus.UNBOUNDED, ray=tuple(ray))
+    x = [ZERO] * nvars
+    for b, v in zip(tableau.basis, tableau.rhs):
+        if b < nstruct:
+            var, sign = col_of[b]
+            x[var] += sign * v
+    value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
+    return LPOutcome(
+        LPStatus.OPTIMAL, value=value, optimizer=tuple(x), duals=multipliers(phase2)
+    )

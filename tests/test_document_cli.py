@@ -212,10 +212,50 @@ class TestCommands:
         assert code == 2
         assert "sure loss" in out["error"]
 
+    def test_choquet_on_gambles_names_its_input(self, capsys, doc_path):
+        code = cli.main(["choquet", doc_path("ramp_price.json"), "--gamble", "1,2"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out == {
+            "schema": "v1",
+            "command": "choquet",
+            "error": "choquet needs an assessment on events; this document assesses gambles",
+        }
+
     def test_determinism(self, capsys, doc_path):
         first = run(capsys, "natext", doc_path("three_point_step.json"))
         second = run(capsys, "natext", doc_path("three_point_step.json"))
         assert first == second
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden_cli_reports.json"
+
+
+class TestReportSchema:
+    """Every verdict report validates, and only with exit status 0 or 1."""
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        schema = report_schema()
+        return jsonschema.validators.validator_for(schema)(schema)
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return [
+            (r["exit_status"], json.loads(r["stdout"]))
+            for r in json.loads(GOLDEN.read_text())
+        ]
+
+    def test_golden_verdict_reports_validate(self, validator, golden):
+        for status, report in golden:
+            if status != 2:
+                assert report["exit_status"] == status
+                validator.validate(report)
+
+    def test_wrong_exit_status_fails(self, validator, golden):
+        verdict = next(report for status, report in golden if status == 0)
+        for wrong in (2, -1, "0", None):
+            assert not validator.is_valid({**verdict, "exit_status": wrong})
 
 
 class TestClosureBudgetVariable:

@@ -31,6 +31,7 @@ from lowerprev import (
     mobius,
     natural_extension_exact,
     powerset_inner,
+    sort_gambles,
     vacuous,
 )
 from lowerprev.monotone import MonotonicityReport, MonotonicityViolation, revalidate_violation
@@ -634,3 +635,73 @@ class TestEventBudget:
         assert len(list(abc.all_events())) == 8
         assert len(mobius(full).coefficients) == 8
         assert len(powerset_inner(chain)) == 8
+
+
+class TestInfiniteOrderBudget:
+    """The order-inf scan of a gamble lattice fails fast on the closure budget."""
+
+    @staticmethod
+    def probability_on(closure):
+        space = closure[0].space
+        return MassFunctional.make(space, [F(1, space.size)] * space.size).restrict(closure)
+
+    @pytest.fixture
+    def twenty(self):
+        space = Space(tuple("abcde"))
+        generators = [
+            Gamble.make(space, [-1, 2, 1, -2, F(-3, 2)]),
+            Gamble.make(space, [F(-3, 4), F(-7, 4), F(1, 4), -2, 0]),
+            Gamble.make(space, [F(7, 4), 1, F(5, 4), 1, F(3, 2)]),
+            Gamble.constant(space, 0),
+            Gamble.constant(space, 1),
+        ]
+        closure = lattice_closure(generators)
+        assert len(closure) == 20
+        return self.probability_on(closure)
+
+    @pytest.fixture
+    def cube(self, abc):
+        # {0, 2} x {0, 1} x {0, 1}: a gamble lattice, not an event lattice
+        closure = sort_gambles(
+            Gamble.make(abc, [2 * a, b, c]) for a in (0, 1) for b in (0, 1) for c in (0, 1)
+        )
+        return self.probability_on(closure)
+
+    def test_twenty_elements_raise_before_order_five(self, twenty):
+        # orders 1..4 visit 20 + 190 + 1140 + 4845 = 6195 tuples; order 5
+        # would bring the count to 21699, past the budget of 10000
+        with pytest.raises(ClosureBudgetError, match="order 5 of a 20-element"):
+            is_n_monotone(twenty, INF)
+        with pytest.raises(ClosureBudgetError, match="order 5 of a 20-element"):
+            is_n_alternating(twenty, INF)
+
+    def test_violation_inside_the_budget_is_reported(self, monkeypatch):
+        # decided on the conjugate, a 16-element gamble lattice whose
+        # 2**16 - 2 tuples exceed the budget: the order-2 violation is
+        # found after 16 + 120 = 136 of them
+        f = random_completely_monotone(random.Random(1), Space(tuple("abcd")))
+        report = is_n_alternating(f, INF)
+        assert (report.max_verified, report.violation.order) == (1, 2)
+        assert report.violation.total == F(6, 29)
+        assert revalidate_violation(f, report.violation) == report.violation.total
+        monkeypatch.setenv("LOWERPREV_LATTICE_BUDGET", "136")
+        assert is_n_alternating(f, INF) == report
+        monkeypatch.setenv("LOWERPREV_LATTICE_BUDGET", "135")
+        with pytest.raises(ClosureBudgetError, match="order 2 of a 16-element"):
+            is_n_alternating(f, INF)
+
+    def test_finite_orders_still_scan(self, twenty):
+        assert is_n_monotone(twenty, 2).holds
+        assert is_n_alternating(twenty, 2).holds
+
+    def test_budget_variable(self, cube, monkeypatch):
+        # 8 elements: 2**8 - 2 = 254 companion tuples
+        monkeypatch.setenv("LOWERPREV_LATTICE_BUDGET", "253")
+        with pytest.raises(ClosureBudgetError):
+            is_n_monotone(cube, INF)
+        with pytest.raises(ClosureBudgetError):
+            is_n_alternating(cube, INF)
+        assert is_n_monotone(cube, 7) == MonotonicityReport(7, 7, None)
+        monkeypatch.setenv("LOWERPREV_LATTICE_BUDGET", "254")
+        assert is_n_monotone(cube, INF) == MonotonicityReport(INF, INF, None)
+        assert is_n_alternating(cube, INF) == MonotonicityReport(INF, INF, None)

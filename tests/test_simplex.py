@@ -2,8 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lowerprev import simplex
+from lowerprev import (
+    Assessment,
+    Gamble,
+    Space,
+    avoids_sure_loss,
+    find_attaining,
+    is_coherent,
+    natural_extension_exact,
+    natural_extension_prevision,
+    norm,
+    simplex,
+)
 from lowerprev.simplex import (
     Constraint,
     LinearProgram,
@@ -13,7 +26,9 @@ from lowerprev.simplex import (
     solve,
 )
 
-from .oracles import brute_force_lp
+from lowerprev.sampling import random_completely_monotone, random_envelope, random_gamble
+
+from .oracles import brute_force_lp, fraction_simplex
 
 GE, EQ = Relation.GE, Relation.EQ
 
@@ -295,3 +310,174 @@ class TestSlackStart:
         out = solve(lp([1], [([-1], GE, 0), ([1], GE, 1)]))
         assert out.status is LPStatus.INFEASIBLE
         assert out.certificate == (F(1), F(1))
+
+
+# ---------------------------------------------------------------- differential
+
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def programs(draw, relations=st.sampled_from([GE, EQ]), rhs=SMALL, values=SMALL,
+             free=st.booleans(), max_rows=4):
+    nvars = draw(st.integers(1, 4))
+    objective = draw(st.lists(values, min_size=nvars, max_size=nvars))
+    rows = [
+        (draw(st.lists(values, min_size=nvars, max_size=nvars)), draw(relations), draw(rhs))
+        for _ in range(draw(st.integers(0, max_rows)))
+    ]
+    nonneg = [not draw(free) for _ in range(nvars)]
+    return lp(objective, rows, nonneg)
+
+
+def assert_same_as_oracle(program):
+    """The whole outcome: status, value, optimizer, duals, certificate and ray."""
+    got = solve(program)
+    assert got == fraction_simplex(program)
+    return got
+
+
+class TestAgainstFractionTableau:
+    @PROPERTY
+    @given(programs())
+    def test_random_programs(self, program):
+        assert_same_as_oracle(program)
+
+    @PROPERTY
+    @given(programs(relations=st.just(EQ), free=st.booleans()), st.data())
+    def test_equalities_and_free_variables(self, program, data):
+        # one more == row, and the first variable free
+        coeffs = data.draw(st.lists(SMALL, min_size=len(program.objective),
+                                    max_size=len(program.objective)))
+        rows = [(r.coeffs, r.relation, r.rhs) for r in program.constraints]
+        rows.append((coeffs, EQ, data.draw(SMALL)))
+        nonneg = (False,) + program.nonnegative[1:]
+        assert_same_as_oracle(lp(program.objective, rows, nonneg))
+
+    @PROPERTY
+    @given(programs(rhs=st.fractions(min_value=-3, max_value=F(-1, 4), max_denominator=4)),
+           st.booleans())
+    def test_phase_one_on_negative_rhs(self, program, flip_ge):
+        # == rows with rhs < 0 and >= rows with rhs > 0 all start on artificials
+        rows = [
+            (r.coeffs, r.relation, -r.rhs if r.relation is GE and flip_ge else r.rhs)
+            for r in program.constraints
+        ]
+        assert_same_as_oracle(lp(program.objective, rows, program.nonnegative))
+
+    @PROPERTY
+    @given(programs(relations=st.just(EQ), max_rows=3),
+           st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=3))
+    def test_redundant_rows(self, program, mixes):
+        # combinations of the first two == rows, right-hand sides included,
+        # are redundant: phase one ends with artificials basic at zero, which
+        # are pivoted out (on negative entries too) or whose rows are dropped
+        base = [(r.coeffs, r.rhs) for r in program.constraints][:2]
+        rows = [(r.coeffs, EQ, r.rhs) for r in program.constraints]
+        for a, b in mixes:
+            if len(base) == 2:
+                (c0, r0), (c1, r1) = base
+                rows.append(([a * x + b * y for x, y in zip(c0, c1)], EQ, a * r0 + b * r1))
+            elif base:
+                rows.append(([a * x for x in base[0][0]], EQ, a * base[0][1]))
+        assert_same_as_oracle(lp(program.objective, rows, program.nonnegative))
+
+    @PROPERTY
+    @given(programs(rhs=st.sampled_from([F(0), F(0), F(1)]),
+                    values=st.sampled_from([F(-1), F(0), F(1), F(2)]), max_rows=5),
+           st.booleans())
+    def test_degenerate_ties(self, program, duplicate):
+        # zero and repeated right-hand sides make equal ratios in the ratio test
+        rows = [(r.coeffs, r.relation, r.rhs) for r in program.constraints]
+        if duplicate and rows:
+            rows.append(rows[0])
+        assert_same_as_oracle(lp(program.objective, rows, program.nonnegative))
+
+    def test_every_status_with_exact_divisions(self, monkeypatch):
+        eliminate = simplex._eliminate
+
+        def exact(row, row_i, p, d, j):
+            assert all((p * a - row[j] * b) % d == 0 for a, b in zip(row, row_i))
+            return eliminate(row, row_i, p, d, j)
+
+        monkeypatch.setattr(simplex, "_eliminate", exact)
+        rng = random.Random(20261018)
+        statuses = {status: 0 for status in LPStatus}
+        for _ in range(300):
+            program = random_open_program(rng, rng.randint(1, 4), rng.randint(0, 4))
+            statuses[assert_same_as_oracle(program).status] += 1
+        assert all(count > 20 for count in statuses.values())
+
+    def test_negative_pivot_and_dropped_row(self, monkeypatch):
+        # -2x == 0 and x == 0: phase one ends with both artificials basic at
+        # zero; expelling the first pivots on -2, the second row then has no
+        # structural entry left and is dropped
+        pivots, dropped = [], []
+        pivot, expel = simplex._Tableau.pivot, simplex._expel_artificials
+
+        def recording_pivot(self, i, j):
+            pivots.append(self.rows[i][j])
+            pivot(self, i, j)
+
+        def recording_expel(tableau, art0):
+            before = len(tableau.rows)
+            expel(tableau, art0)
+            dropped.append(before - len(tableau.rows))
+
+        monkeypatch.setattr(simplex._Tableau, "pivot", recording_pivot)
+        monkeypatch.setattr(simplex, "_expel_artificials", recording_expel)
+        out = assert_same_as_oracle(lp([-1], [([-2], EQ, 0), ([1], EQ, 0)]))
+        assert out.status is LPStatus.OPTIMAL and out.value == 0
+        assert min(pivots) < 0 and dropped == [1]
+
+
+class TestRecordedPrograms:
+    """Every program a consistency session solves, against the oracle."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        programs = []
+
+        def recording(program):
+            programs.append(program)
+            return solve(program)
+
+        monkeypatch.setattr(simplex, "solve", recording)
+        return programs
+
+    @staticmethod
+    def session(assessment, gambles):
+        verdict = avoids_sure_loss(assessment)
+        is_coherent(assessment)
+        for g in gambles:
+            if verdict:
+                natural_extension_prevision(assessment, g)
+        if verdict and norm(assessment) != float("inf"):
+            for g in gambles:
+                natural_extension_exact(assessment, g)
+            find_attaining(assessment, gambles[0], gambles[1])
+
+    def test_powerset_assessment(self, recorded):
+        rng = random.Random(4)
+        space = Space(("a", "b", "c", "d"))
+        assessment = random_completely_monotone(rng, space)
+        self.session(assessment, [random_gamble(rng, space) for _ in range(2)])
+        assert len(recorded) > 2 * 16
+        statuses = {assert_same_as_oracle(program).status for program in recorded}
+        assert statuses == set(LPStatus)
+
+    def test_gamble_assessment(self, recorded):
+        rng = random.Random(6)
+        space = Space(tuple("abcdef"))
+        gambles = [random_gamble(rng, space) for _ in range(4)] + [Gamble.constant(space, 1)]
+        envelope = random_envelope(rng, space, 3)
+        entries = dict(envelope.restrict(gambles).entries)
+        entries[gambles[0]] -= F(1, 8)  # incoherent, still exact
+        assessment = Assessment(space, tuple(entries.items()))
+        self.session(assessment, [random_gamble(rng, space) for _ in range(3)])
+        entries[gambles[1]] = gambles[1].sup + 1  # sure loss
+        self.session(Assessment(space, tuple(entries.items())), gambles[:2])
+        statuses = {assert_same_as_oracle(program).status for program in recorded}
+        assert statuses == set(LPStatus)
