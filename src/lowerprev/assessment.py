@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import SpaceMismatchError
-from .gambles import Event, Gamble, Space, sort_gambles
+from .gambles import Event, Gamble, Space, _integer_view, sort_gambles
 
 __all__ = [
     "Assessment",
@@ -138,9 +138,7 @@ class Assessment:
         common denominator, so the tables are built on integer vectors
         once per assessment and shared by every lattice scan.
         """
-        scale = math.lcm(*(x.denominator for g, _ in self.entries for x in g.values))
-        vectors = [tuple(x.numerator * (scale // x.denominator) for x in g.values)
-                   for g, _ in self.entries]
+        vectors = _integer_view([g for g, _ in self.entries])
         index = {v: i for i, v in enumerate(vectors)}
         tables = []
         for op in (min, max):
@@ -209,10 +207,26 @@ class MassFunctional:
     def total_mass(self) -> Fraction:
         return sum(self.masses, Fraction(0))
 
+    @functools.cached_property
+    def _integer_masses(self) -> tuple[int, list[int]]:
+        """The masses over their least common denominator: ``(denominator, numerators)``."""
+        denominator = 1
+        for m in self.masses:
+            denominator = math.lcm(denominator, m.denominator)
+        return denominator, [m.numerator * (denominator // m.denominator) for m in self.masses]
+
     def __call__(self, gamble: Gamble) -> Fraction:
+        """The exact sum of mass times payoff, in integers over one denominator."""
         if gamble.space != self.space:
             raise SpaceMismatchError("gamble and mass functional on different spaces")
-        return sum((m * v for m, v in zip(self.masses, gamble.values)), Fraction(0))
+        denominator, masses = self._integer_masses
+        scale = 1
+        for v in gamble.values:
+            scale = math.lcm(scale, v.denominator)
+        total = 0
+        for m, v in zip(masses, gamble.values):
+            total += m * v.numerator * (scale // v.denominator)
+        return Fraction(total, denominator * scale)
 
     def dominates(self, assessment: Assessment) -> bool:
         """At least the assessed value on every domain gamble."""

@@ -28,7 +28,7 @@ from typing import ClassVar
 from .assessment import Assessment
 from .consistency import exact_value, extension_minimum, norm
 from .errors import DomainError
-from .gambles import Event, Gamble, is_comonotone, is_lattice_closed
+from .gambles import Event, Gamble, is_comonotone
 from .verdict import Verdict
 
 __all__ = [
@@ -183,12 +183,11 @@ def is_comonotone_additive(assessment: Assessment) -> Verdict:
     verdict's ``info`` records which pairs needed that.  The domain
     must be a lattice.
     """
-    domain = assessment.domain
-    if not is_lattice_closed(domain):
+    if assessment.lattice is None:
         raise DomainError("comonotone additivity needs a lattice-closed domain")
     scale: Fraction | float | None = None
     extended: list[tuple[Gamble, Gamble]] = []
-    for f, g in itertools.combinations(domain, 2):
+    for f, g in itertools.combinations(assessment.domain, 2):
         if not is_comonotone(f, g):
             continue
         total_gamble = f + g

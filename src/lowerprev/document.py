@@ -12,6 +12,7 @@ document reproduces the input value for value.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass
@@ -57,6 +58,19 @@ def problem_schema() -> dict:
 
 def report_schema() -> dict:
     return _schema("report.schema.json")
+
+
+@functools.cache
+def _problem_validator() -> jsonschema.protocols.Validator:
+    """The problem-schema validator, built once per process.
+
+    ``jsonschema.validate`` would re-check the schema against its
+    metaschema on every document; the bundled schema's validity is a
+    test instead.  ``best_match`` over its errors is the error that
+    ``jsonschema.validate`` raises.
+    """
+    schema = problem_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 @dataclass(frozen=True)
@@ -110,10 +124,9 @@ class ProblemDocument:
 
 def parse_document(data: Mapping[str, Any]) -> ProblemDocument:
     """Validate against ``schema/v1`` and resolve every reference."""
-    try:
-        jsonschema.validate(data, problem_schema())
-    except jsonschema.ValidationError as exc:
-        raise DocumentError(f"{exc.json_path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(data))
+    if error is not None:
+        raise DocumentError(f"{error.json_path}: {error.message}") from error
     try:
         space = Space.make(data["space"])
     except ValueError as exc:

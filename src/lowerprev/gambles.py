@@ -7,11 +7,18 @@ operations (pointwise minimum and maximum), closure of a finite set of
 gambles under those operations, comonotonicity, fields of events, and
 tabulated maps between lattices together with the check that they
 preserve pointwise minima.
+
+Closure and the closedness test work on one integer view of the
+gambles: every coordinate multiplied by the lcm of all their
+denominators, so that minima, maxima, equality and the sort order are
+those of int tuples, and a closure builds each new gamble once, at the
+end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -176,9 +183,6 @@ class Gamble:
         _require_same_space(self, other)
         return all(a >= b for a, b in zip(self.values, other.values))
 
-    def is_constant(self) -> bool:
-        return all(v == self.values[0] for v in self.values)
-
     def is_indicator(self) -> bool:
         return all(v == 0 or v == 1 for v in self.values)
 
@@ -231,9 +235,6 @@ class Event:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.space.labels[i] for i in sorted(self.members))
 
-    def complement(self) -> "Event":
-        return Event(self.space, frozenset(range(self.space.size)) - self.members)
-
     def __and__(self, other: "Event") -> "Event":
         _require_same_space(self, other)
         return Event(self.space, self.members & other.members)
@@ -241,10 +242,6 @@ class Event:
     def __or__(self, other: "Event") -> "Event":
         _require_same_space(self, other)
         return Event(self.space, self.members | other.members)
-
-    def issubset(self, other: "Event") -> bool:
-        _require_same_space(self, other)
-        return self.members <= other.members
 
     def __contains__(self, outcome: int | str) -> bool:
         if isinstance(outcome, str):
@@ -280,6 +277,27 @@ def sort_gambles(gambles: Iterable[Gamble]) -> tuple[Gamble, ...]:
     return tuple(sorted(gambles, key=lambda g: g.values))
 
 
+def _integer_view(gambles: Sequence[Gamble]) -> list[tuple[int, ...]]:
+    """The gambles scaled by the lcm of their coordinate denominators.
+
+    One tuple of ints per gamble.  The scale is positive, so pointwise
+    minima and maxima, equality and the lexicographic order of the
+    vectors are those of the gambles.
+    """
+    # a running lcm and list comprehensions: math.lcm(*generator) and
+    # tuple(generator) raised the peak resident memory of long runs
+    scale = 1
+    for g in gambles:
+        for x in g.values:
+            scale = math.lcm(scale, x.denominator)
+    return [tuple([x.numerator * (scale // x.denominator) for x in g.values]) for g in gambles]
+
+
+def _require_one_space(gambles: Sequence[Gamble], what: str) -> None:
+    if any(g.space != gambles[0].space for g in gambles):
+        raise SpaceMismatchError(f"{what} live on different spaces")
+
+
 def lattice_closure(
     generators: Iterable[Gamble], budget: int | None = None
 ) -> tuple[Gamble, ...]:
@@ -291,6 +309,12 @@ def lattice_closure(
     generators, so growth is capped by ``budget`` (default 10,000,
     overridable through ``LOWERPREV_LATTICE_BUDGET``).
 
+    The closure runs on the generators scaled to integer vectors by the
+    lcm of their denominators, with pointwise min and max on int
+    tuples; a :class:`Gamble` is built once for each element that is
+    not a generator, after the closure is complete, from the
+    generators' own coordinates.
+
     >>> s = Space(("a", "b"))
     >>> [g.values for g in lattice_closure([Gamble.make(s, [1, 0]), Gamble.make(s, [0, 1])])]
     [(Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(1, 1))]
@@ -300,34 +324,50 @@ def lattice_closure(
     gambles = list(generators)
     if not gambles:
         return ()
-    space = gambles[0].space
-    for g in gambles:
-        if g.space != space:
-            raise SpaceMismatchError("closure generators live on different spaces")
-    seen = {g.values: g for g in gambles}
-    frontier = list(seen.values())
+    _require_one_space(gambles, "closure generators")
+    vectors = _integer_view(gambles)
+    given = dict(zip(vectors, gambles))
+    # min and max pick coordinates, so every coordinate of the closure is
+    # a generator's: map each scaled value back to that Fraction
+    fraction_of = {}
+    for g, v in zip(gambles, vectors):
+        fraction_of.update(zip(v, g.values))
+    seen = set(given)
+    frontier = list(given)
     while frontier:
-        fresh: list[Gamble] = []
-        current = list(seen.values())
+        fresh: list[tuple[int, ...]] = []
+        current = list(seen)
         for a in frontier:
             for b in current:
-                for c in (meet(a, b), join(a, b)):
-                    if c.values not in seen:
-                        seen[c.values] = c
+                low = tuple([x if x < y else y for x, y in zip(a, b)])
+                high = tuple([x if x > y else y for x, y in zip(a, b)])
+                for c in (low, high):
+                    if c not in seen:
+                        seen.add(c)
                         fresh.append(c)
                         if len(seen) > budget:
                             raise ClosureBudgetError(
                                 f"lattice closure exceeded the budget of {budget} elements"
                             )
         frontier = fresh
-    return sort_gambles(seen.values())
+    space = gambles[0].space
+    return tuple([
+        given[v] if v in given else Gamble(space, tuple([fraction_of[x] for x in v]))
+        for v in sorted(seen)
+    ])
 
 
 def is_lattice_closed(gambles: Sequence[Gamble]) -> bool:
-    values = {g.values for g in gambles}
+    """Whether the pointwise min and max of every pair is among the gambles."""
+    if not gambles:
+        return True
+    _require_one_space(gambles, "gambles")
+    vectors = _integer_view(gambles)
+    present = set(vectors)
     return all(
-        meet(a, b).values in values and join(a, b).values in values
-        for a, b in itertools.combinations(gambles, 2)
+        tuple([x if x < y else y for x, y in zip(a, b)]) in present
+        and tuple([x if x > y else y for x, y in zip(a, b)]) in present
+        for a, b in itertools.combinations(vectors, 2)
     )
 
 
@@ -340,9 +380,7 @@ class GambleLattice:
     def __post_init__(self) -> None:
         if not self.elements:
             raise ValueError("a lattice needs at least one element")
-        space = self.elements[0].space
-        if any(g.space != space for g in self.elements):
-            raise SpaceMismatchError("lattice elements live on different spaces")
+        _require_one_space(self.elements, "lattice elements")
         if len({g.values for g in self.elements}) != len(self.elements):
             raise ValueError("lattice elements must be distinct")
         if not is_lattice_closed(self.elements):

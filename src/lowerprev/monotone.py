@@ -166,7 +166,9 @@ def _alternating_scan(
     if lattice is None:
         raise DomainError("assessment domain is not lattice-closed")
     table = lattice.join if alternating else lattice.meet
-    scale = math.lcm(*(v.denominator for _, v in assessment.entries))
+    scale = 1
+    for _, v in assessment.entries:  # a running lcm, as math.lcm(*generator) raised peak RSS
+        scale = math.lcm(scale, v.denominator)
     sign = -1 if alternating else 1
     values = [sign * v.numerator * (scale // v.denominator) for _, v in assessment.entries]
     size = len(values)
@@ -379,12 +381,6 @@ class MobiusTransform:
 
     space: Space
     coefficients: tuple[tuple[int, Fraction], ...]
-
-    def coefficient(self, event: Event) -> Fraction:
-        for mask, value in self.coefficients:
-            if mask == event.mask:
-                return value
-        raise KeyError(f"event {event.labels} outside the transform")
 
     def items(self) -> Iterable[tuple[Event, Fraction]]:
         for mask, value in self.coefficients:

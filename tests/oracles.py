@@ -7,7 +7,9 @@ form of the two-parameter case analysis, n-monotonicity is re-decided
 by full multiset enumeration and by the ordered scan that sums all 2^p
 terms of every distinct tuple, and the inversion of a set function is
 the subset-loop definition.  The library's integer simplex is compared
-with the same two-phase simplex on a ``Fraction`` tableau.
+with the same two-phase simplex on a ``Fraction`` tableau, and its
+integer lattice closure with the closure under ``Fraction`` meets and
+joins.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import math
 from fractions import Fraction
 
 from lowerprev.assessment import Assessment
-from lowerprev.gambles import Gamble, join, meet
+from lowerprev.errors import ClosureBudgetError, SpaceMismatchError
+from lowerprev.gambles import Gamble, join, meet, sort_gambles
 from lowerprev.monotone import MonotonicityReport, MonotonicityViolation
 from lowerprev.simplex import LinearProgram, LPOutcome, LPStatus, Relation
 
@@ -121,6 +124,45 @@ def definitional_norm_single(f0: Gamble, value: Fraction) -> Fraction | float:
     if hi is not None and lo > hi:
         return math.inf
     return lo
+
+
+def fraction_closure(generators: list[Gamble], budget: int = 10_000) -> tuple[Gamble, ...]:
+    """Closure under ``Fraction`` meets and joins, grown pair by pair.
+
+    Raises :class:`ClosureBudgetError` with the library's message as
+    soon as the set grows past ``budget`` elements.
+    """
+    if not generators:
+        return ()
+    space = generators[0].space
+    if any(g.space != space for g in generators):
+        raise SpaceMismatchError("closure generators live on different spaces")
+    seen = {g.values: g for g in generators}
+    frontier = list(seen.values())
+    while frontier:
+        fresh: list[Gamble] = []
+        current = list(seen.values())
+        for a in frontier:
+            for b in current:
+                for c in (meet(a, b), join(a, b)):
+                    if c.values not in seen:
+                        seen[c.values] = c
+                        fresh.append(c)
+                        if len(seen) > budget:
+                            raise ClosureBudgetError(
+                                f"lattice closure exceeded the budget of {budget} elements"
+                            )
+        frontier = fresh
+    return sort_gambles(seen.values())
+
+
+def fraction_is_lattice_closed(gambles: list[Gamble]) -> bool:
+    """Every pairwise ``Fraction`` meet and join is among the gambles."""
+    values = {g.values for g in gambles}
+    return all(
+        meet(a, b).values in values and join(a, b).values in values
+        for a, b in itertools.combinations(gambles, 2)
+    )
 
 
 def alternating_sum(

@@ -59,6 +59,15 @@ class TestEvaluate:
         mass = MassFunctional.make(abc, ["1/3", "1/3", "1/3"])
         assert mass(step_gamble) == 1
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(0, 3, max_denominator=12), min_size=3, max_size=3),
+           st.lists(st.fractions(-5, 5, max_denominator=9), min_size=3, max_size=3))
+    def test_matches_fraction_dot_product(self, masses, values):
+        abc = Space(("a", "b", "c"))
+        mass = MassFunctional(abc, tuple(masses))
+        expected = sum((m * v for m, v in zip(masses, values)), F(0))
+        assert mass(Gamble(abc, tuple(values))) == expected
+
 
 class TestAvoidsSureLoss:
     def test_overpriced_events(self, ab):

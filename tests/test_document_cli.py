@@ -76,6 +76,12 @@ class TestDocumentParsing:
         jsonschema.Draft202012Validator.check_schema(problem_schema())
         jsonschema.Draft202012Validator.check_schema(report_schema())
 
+    @pytest.mark.parametrize("schema", [problem_schema(), report_schema()],
+                             ids=["problem", "report"])
+    def test_schemas_pass_their_own_metaschema(self, schema):
+        # parse_document builds its validator without re-checking the schema
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
 
 class TestCommands:
     def test_check_coherent_step(self, capsys, doc_path):

@@ -23,6 +23,8 @@ from lowerprev import (
 from lowerprev.errors import DomainError
 from lowerprev.monotone import minimum_table
 
+from . import oracles
+
 S3 = Space(("a", "b", "c"))
 S2 = Space(("a", "b"))
 
@@ -194,3 +196,71 @@ def test_closure_is_closed(generators):
     closed = lattice_closure(generators)
     assert is_lattice_closed(closed)
     assert all(g in closed for g in generators)
+
+
+# Differential tests: the integer closure and closedness test against the
+# Fraction meets and joins of tests/oracles.py.
+DIFFERENTIAL = settings(derandomize=True, max_examples=120, deadline=None)
+mixed_values = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def generator_lists(draw):
+    """1-4 gambles on 1-3 outcomes with mixed denominators and signs,
+    sometimes with a repeated generator and sometimes with constants."""
+    space = Space(tuple("abc"[: draw(st.integers(1, 3))]))
+    point = st.tuples(*[mixed_values] * space.size).map(lambda v: Gamble(space, v))
+    generators = draw(st.lists(point, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        generators.append(draw(st.sampled_from(generators)))
+    for value in draw(st.lists(mixed_values, max_size=2)):
+        generators.append(Gamble.constant(space, value))
+    return draw(st.permutations(generators))
+
+
+class TestIntegerClosureAgainstFractions:
+    @DIFFERENTIAL
+    @given(generator_lists())
+    def test_closure(self, generators):
+        assert lattice_closure(generators) == oracles.fraction_closure(generators)
+
+    @pytest.mark.parametrize("generators", [
+        [g3(F(-1, 2), F(1, 3), 2)],
+        [Gamble.constant(S3, F(-5, 4))],
+        [Gamble.constant(S3, 0), Gamble.constant(S3, 1), Gamble.constant(S3, F(1, 2))],
+        [g2(F(1, 2), 0), g2(F(1, 2), 0), g2(0, F(1, 3))],
+    ], ids=["one", "one-constant", "constants", "duplicates"])
+    def test_closure_cases(self, generators):
+        assert lattice_closure(generators) == oracles.fraction_closure(generators)
+
+    @DIFFERENTIAL
+    @given(generator_lists())
+    def test_closedness(self, generators):
+        closure = lattice_closure(generators)
+        assert is_lattice_closed(closure) and oracles.fraction_is_lattice_closed(list(closure))
+        for k in range(len(closure)):
+            rest = closure[:k] + closure[k + 1:]
+            assert is_lattice_closed(rest) == oracles.fraction_is_lattice_closed(list(rest))
+        assert is_lattice_closed(generators) == oracles.fraction_is_lattice_closed(generators)
+
+    @DIFFERENTIAL
+    @given(generator_lists())
+    def test_budget_boundary(self, generators):
+        size = len(lattice_closure(generators))
+        if size == len({g.values for g in generators}):
+            return  # nothing is added, so no budget is ever checked
+        message = f"lattice closure exceeded the budget of {size - 1} elements"
+        for closure in (lattice_closure, oracles.fraction_closure):
+            with pytest.raises(ClosureBudgetError) as err:
+                closure(generators, budget=size - 1)
+            assert str(err.value) == message
+        assert (lattice_closure(generators, budget=size)
+                == oracles.fraction_closure(generators, budget=size))
+
+    def test_space_mismatch(self):
+        mixed = [g2(0, 1), Gamble.make(Space(("x", "y")), [1, 0])]
+        for closure in (lattice_closure, oracles.fraction_closure):
+            with pytest.raises(SpaceMismatchError):
+                closure(mixed)
+        with pytest.raises(SpaceMismatchError):
+            is_lattice_closed(mixed)
