@@ -12,13 +12,13 @@ one giving the linear previsions.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import SpaceMismatchError
 from .gambles import Event, Gamble, Space, _integer_view, sort_gambles
+from .rational import common_denominator, parse_rational, scaled
 
 __all__ = [
     "Assessment",
@@ -81,8 +81,6 @@ class Assessment:
         space: Space,
         entries: Mapping[Gamble, Fraction | int | str] | Iterable[tuple[Gamble, Fraction | int | str]],
     ) -> "Assessment":
-        from .rational import parse_rational
-
         if isinstance(entries, Mapping):
             entries = entries.items()
         pairs = tuple(
@@ -196,8 +194,6 @@ class MassFunctional:
 
     @staticmethod
     def make(space: Space, masses: Iterable[Fraction | int | str]) -> "MassFunctional":
-        from .rational import parse_rational
-
         return MassFunctional(
             space,
             tuple(parse_rational(m) if isinstance(m, str) else Fraction(m) for m in masses),
@@ -210,22 +206,16 @@ class MassFunctional:
     @functools.cached_property
     def _integer_masses(self) -> tuple[int, list[int]]:
         """The masses over their least common denominator: ``(denominator, numerators)``."""
-        denominator = 1
-        for m in self.masses:
-            denominator = math.lcm(denominator, m.denominator)
-        return denominator, [m.numerator * (denominator // m.denominator) for m in self.masses]
+        denominator = common_denominator(self.masses)
+        return denominator, scaled(self.masses, denominator)
 
     def __call__(self, gamble: Gamble) -> Fraction:
         """The exact sum of mass times payoff, in integers over one denominator."""
         if gamble.space != self.space:
             raise SpaceMismatchError("gamble and mass functional on different spaces")
         denominator, masses = self._integer_masses
-        scale = 1
-        for v in gamble.values:
-            scale = math.lcm(scale, v.denominator)
-        total = 0
-        for m, v in zip(masses, gamble.values):
-            total += m * v.numerator * (scale // v.denominator)
+        scale = common_denominator(gamble.values)
+        total = sum([m * v for m, v in zip(masses, scaled(gamble.values, scale))])
         return Fraction(total, denominator * scale)
 
     def dominates(self, assessment: Assessment) -> bool:

@@ -57,6 +57,7 @@ from . import simplex
 from .assessment import Assessment, ExactDecomposition, MassFunctional
 from .errors import InfeasibleTotalError, NotExactError, SureLossError
 from .gambles import Gamble
+from .rational import common_denominator, scaled
 from .simplex import Constraint, LinearProgram, LPOutcome, LPStatus, Relation
 from .verdict import Verdict
 
@@ -237,8 +238,7 @@ def avoids_sure_loss(assessment: Assessment) -> Verdict:
         return Verdict(True, MassFunctional(assessment.space, outcome.duals))
     # Column 0 is alpha; columns 1.. align with the entries.
     coefficients = outcome.ray[1:]
-    scale = math.lcm(*(c.denominator for c in coefficients)) if coefficients else 1
-    counts = [int(c * scale) for c in coefficients]
+    counts = scaled(coefficients, common_denominator(coefficients))
     common = math.gcd(*counts) or 1
     gambles: list[Gamble] = []
     multiplicities: list[int] = []
@@ -349,26 +349,23 @@ def _event_exactness_shortcut(assessment: Assessment) -> Verdict | None:
     """Exactness of a certified 2-monotone set function on an event lattice.
 
     When the domain consists of indicators, is closed under union and
-    intersection, contains the empty and full events, and the values
-    are monotone and supermodular, exactness is equivalent to the empty
-    event being assessed at zero.  Cross-checked against the linear
-    programming route in the test suite.
+    intersection and contains the empty and full events, and
+    ``is_n_monotone(assessment, 2)`` holds (on a lattice, orders one and
+    two are exactly monotonicity and supermodularity), exactness is
+    equivalent to the empty event being assessed at zero.  Otherwise
+    returns None and the norm programs decide.  Cross-checked against
+    the linear programming route in the test suite.
     """
+    from .monotone import is_n_monotone  # monotone imports this module
+
     by_mask = assessment.by_mask
     if not by_mask:
         return None
     full = (1 << assessment.space.size) - 1
     if 0 not in by_mask or full not in by_mask:
         return None
-    masks = list(by_mask)
-    for a in masks:
-        for b in masks:
-            if a & b not in by_mask or a | b not in by_mask:
-                return None
-            if (a & b) == a and by_mask[a] > by_mask[b]:
-                return None  # not monotone
-            if by_mask[a | b] + by_mask[a & b] < by_mask[a] + by_mask[b]:
-                return None  # not supermodular
+    if assessment.lattice is None or not is_n_monotone(assessment, 2).holds:
+        return None
     if by_mask[0] == 0:
         return Verdict(True, info={"route": "event_shortcut"})
     empty = Gamble.constant(assessment.space, 0)

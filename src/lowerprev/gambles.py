@@ -4,34 +4,33 @@ A gamble is an exact-rational payoff vector indexed by the outcomes of
 a finite space; an event is a subset of outcomes, convertible to its
 0/1 indicator gamble.  On top of these the module provides the lattice
 operations (pointwise minimum and maximum), closure of a finite set of
-gambles under those operations, comonotonicity, fields of events, and
-tabulated maps between lattices together with the check that they
-preserve pointwise minima.
+gambles under those operations, comonotonicity, and tabulated maps
+between lattices together with the check that they preserve pointwise
+minima.
 
 Closure and the closedness test work on one integer view of the
-gambles: every coordinate multiplied by the lcm of all their
-denominators, so that minima, maxima, equality and the sort order are
-those of int tuples, and a closure builds each new gamble once, at the
-end.
+gambles: every coordinate multiplied by the common denominator of all
+of them (:mod:`lowerprev.rational`), so that minima, maxima, equality
+and the sort order are those of int tuples, and a closure builds each
+new gamble once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import ClosureBudgetError, DomainError, SpaceMismatchError
+from .rational import common_denominator, parse_rational, scaled
 from .verdict import Verdict
 
 __all__ = [
     "Space",
     "Gamble",
     "Event",
-    "GambleLattice",
     "HomomorphismTable",
     "WedgeWitness",
     "meet",
@@ -39,7 +38,6 @@ __all__ = [
     "lattice_closure",
     "is_lattice_closed",
     "is_comonotone",
-    "is_field",
     "check_wedge_homomorphism",
     "default_closure_budget",
 ]
@@ -137,8 +135,6 @@ class Gamble:
 
     @staticmethod
     def make(space: Space, values: Iterable[Fraction | int | str]) -> "Gamble":
-        from .rational import parse_rational
-
         return Gamble(space, tuple(parse_rational(v) if isinstance(v, str) else Fraction(v)
                                    for v in values))
 
@@ -278,19 +274,14 @@ def sort_gambles(gambles: Iterable[Gamble]) -> tuple[Gamble, ...]:
 
 
 def _integer_view(gambles: Sequence[Gamble]) -> list[tuple[int, ...]]:
-    """The gambles scaled by the lcm of their coordinate denominators.
+    """The gambles scaled by the common denominator of their coordinates.
 
     One tuple of ints per gamble.  The scale is positive, so pointwise
     minima and maxima, equality and the lexicographic order of the
     vectors are those of the gambles.
     """
-    # a running lcm and list comprehensions: math.lcm(*generator) and
-    # tuple(generator) raised the peak resident memory of long runs
-    scale = 1
-    for g in gambles:
-        for x in g.values:
-            scale = math.lcm(scale, x.denominator)
-    return [tuple([x.numerator * (scale // x.denominator) for x in g.values]) for g in gambles]
+    scale = common_denominator([x for g in gambles for x in g.values])
+    return [tuple(scaled(g.values, scale)) for g in gambles]
 
 
 def _require_one_space(gambles: Sequence[Gamble], what: str) -> None:
@@ -371,36 +362,6 @@ def is_lattice_closed(gambles: Sequence[Gamble]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class GambleLattice:
-    """A finite, deduplicated set of gambles closed under meet and join."""
-
-    elements: tuple[Gamble, ...]
-
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise ValueError("a lattice needs at least one element")
-        _require_one_space(self.elements, "lattice elements")
-        if len({g.values for g in self.elements}) != len(self.elements):
-            raise ValueError("lattice elements must be distinct")
-        if not is_lattice_closed(self.elements):
-            raise DomainError("set of gambles is not closed under meet and join")
-
-    @staticmethod
-    def closure(generators: Iterable[Gamble], budget: int | None = None) -> "GambleLattice":
-        return GambleLattice(lattice_closure(generators, budget))
-
-    @property
-    def space(self) -> Space:
-        return self.elements[0].space
-
-    def __iter__(self) -> Iterator[Gamble]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def is_comonotone(f: Gamble, g: Gamble) -> bool:
     """Whether two gambles never order a pair of outcomes oppositely.
 
@@ -415,26 +376,6 @@ def is_comonotone(f: Gamble, g: Gamble) -> bool:
     for i, j in itertools.combinations(range(f.space.size), 2):
         if (f.values[i] - f.values[j]) * (g.values[i] - g.values[j]) < 0:
             return False
-    return True
-
-
-def is_field(events: Sequence[Event]) -> bool:
-    """Closed under intersection, union and complement, and contains the empty event."""
-    if not events:
-        return False
-    space = events[0].space
-    if any(e.space != space for e in events):
-        raise SpaceMismatchError("events live on different spaces")
-    masks = {e.mask for e in events}
-    if 0 not in masks:
-        return False
-    full = (1 << space.size) - 1
-    for a in masks:
-        if a ^ full not in masks:
-            return False
-        for b in masks:
-            if a & b not in masks or a | b not in masks:
-                return False
     return True
 
 

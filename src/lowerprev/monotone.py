@@ -64,6 +64,7 @@ from .gambles import (
     join,
     sort_gambles,
 )
+from .rational import common_denominator, scaled
 from .verdict import Verdict
 
 __all__ = [
@@ -166,11 +167,10 @@ def _alternating_scan(
     if lattice is None:
         raise DomainError("assessment domain is not lattice-closed")
     table = lattice.join if alternating else lattice.meet
-    scale = 1
-    for _, v in assessment.entries:  # a running lcm, as math.lcm(*generator) raised peak RSS
-        scale = math.lcm(scale, v.denominator)
+    values = [v for _, v in assessment.entries]
+    scale = common_denominator(values)
     sign = -1 if alternating else 1
-    values = [sign * v.numerator * (scale // v.denominator) for _, v in assessment.entries]
+    values = scaled(values, sign * scale)
     size = len(values)
     visited = 0
     for p in range(1, min(max_order, size - 1) + 1):

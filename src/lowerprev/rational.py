@@ -2,18 +2,22 @@
 
 Every numeric value in this library is a :class:`fractions.Fraction`,
 which the standard library keeps in lowest terms with a positive
-denominator.  This module only adds the wire format: rationals travel
-as strings like ``"3/10"`` (or ``"3"`` when the denominator is one),
-and decimal input such as ``"0.25"`` is parsed exactly, never through
-a float.
+denominator.  This module adds the wire format: rationals travel as
+strings like ``"3/10"`` (or ``"3"`` when the denominator is one), and
+decimal input such as ``"0.25"`` is parsed exactly, never through a
+float.  It also owns the one scaling of rationals to integers, which
+every integer kernel uses: :func:`common_denominator` and :func:`scaled`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
-__all__ = ["parse_rational", "format_rational", "RationalParseError"]
+__all__ = ["parse_rational", "format_rational", "RationalParseError",
+           "common_denominator", "scaled"]
 
 INF = float("inf")
 
@@ -78,3 +82,30 @@ def format_rational(value: Fraction | float) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the values' denominators; 1 for no values.
+
+    >>> common_denominator([Fraction(1, 4), Fraction(-5, 6), Fraction(3)])
+    12
+    """
+    # a running lcm, with list comprehensions in the callers: math.lcm(*generator)
+    # and tuple(generator) raised the peak resident memory of long runs
+    scale = 1
+    for x in values:
+        scale = math.lcm(scale, x.denominator)
+    return scale
+
+
+def scaled(values: Iterable[Fraction], scale: int) -> list[int]:
+    """Each value times ``scale``, as ints.
+
+    ``scale`` must be a multiple of every denominator, such as
+    :func:`common_denominator` of the values; a negative multiple
+    negates the result.
+
+    >>> scaled([Fraction(1, 4), Fraction(-5, 6), Fraction(3)], 12)
+    [3, -10, 36]
+    """
+    return [x.numerator * (scale // x.denominator) for x in values]

@@ -47,6 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .rational import common_denominator, scaled
+
 __all__ = [
     "Relation",
     "Constraint",
@@ -234,20 +236,6 @@ def _eliminate(row: list[int], row_i: list[int], p: int, d: int, j: int) -> list
     return [p * a // d for a in row]
 
 
-def _lcm_of_denominators(values: Sequence[Fraction]) -> int:
-    # a running lcm: math.lcm(*generator) over every row of every program
-    # raised the peak resident memory of long runs
-    scale = 1
-    for a in values:
-        scale = math.lcm(scale, a.denominator)
-    return scale
-
-
-def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
-    """``scale * values`` as integers; ``scale`` is a multiple of every denominator."""
-    return [a.numerator * (scale // a.denominator) for a in values]
-
-
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; see :class:`LPOutcome` for the contract."""
     nvars = len(lp.objective)
@@ -287,19 +275,20 @@ def solve(lp: LinearProgram) -> LPOutcome:
         for r, row in enumerate(lp.constraints)
     ]
     d = 1
-    for row in lp.constraints:
-        d *= math.lcm(_lcm_of_denominators(row.coeffs), row.rhs.denominator)
+    for row in lp.constraints:  # s_r joins the coefficients' scale and the rhs's
+        d *= math.lcm(common_denominator(row.coeffs), row.rhs.denominator)
+    rhs = scaled([row.rhs for row in lp.constraints], d)
     rows: list[list[int]] = []
     for r, row in enumerate(lp.constraints):
         sign = row_sign[r]
-        coeffs = _scaled(row.coeffs, d)
-        scaled = [sign * s * coeffs[var] for var, s in col_of]
-        scaled += [0] * (ncols - nstruct)
+        coeffs = scaled(row.coeffs, d)
+        start_row = [sign * s * coeffs[var] for var, s in col_of]
+        start_row += [0] * (ncols - nstruct)
         if surplus_col[r] >= 0:
-            scaled[surplus_col[r]] = -sign * d
-        scaled[start[r]] = d
-        scaled.append(sign * row.rhs.numerator * (d // row.rhs.denominator))
-        rows.append(scaled)
+            start_row[surplus_col[r]] = -sign * d
+        start_row[start[r]] = d
+        start_row.append(sign * rhs[r])
+        rows.append(start_row)
 
     tableau = _Tableau(rows, d, list(start), ncols)
 
@@ -316,8 +305,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
     # Phase two over structural and surplus columns only, on the
     # objective scaled to integers.
     allowed = [j < art0 for j in range(ncols)]
-    cost_scale = _lcm_of_denominators(lp.objective)
-    objective = _scaled(lp.objective, cost_scale)
+    cost_scale = common_denominator(lp.objective)
+    objective = scaled(lp.objective, cost_scale)
     phase2_cost = [sign * objective[var] for var, sign in col_of]
     phase2_cost += [0] * (ncols - nstruct)
     entering = tableau.run(phase2_cost, allowed)

@@ -54,7 +54,8 @@ def brute_force_lp(lp: LinearProgram) -> tuple[str, Fraction | None]:
     vertex, and a bounded objective attains its minimum at one.
     """
     n = len(lp.objective)
-    assert all(lp.nonnegative), "oracle limited to nonnegative variables"
+    if not all(lp.nonnegative):
+        raise ValueError("oracle limited to nonnegative variables")
     inequalities: list[tuple[tuple[Fraction, ...], Fraction]] = []
     equalities: list[tuple[tuple[Fraction, ...], Fraction]] = []
     for row in lp.constraints:

@@ -38,7 +38,13 @@ from lowerprev.consistency import (
     _norm_analysis,
     extension_minimum,
 )
-from lowerprev.sampling import random_envelope, random_gamble
+from lowerprev.sampling import (
+    random_completely_monotone,
+    random_envelope,
+    random_event_lattice,
+    random_floor_additive,
+    random_gamble,
+)
 
 from .conftest import step_extension_value
 from .oracles import credal_vertices, definitional_norm_single
@@ -255,6 +261,84 @@ class TestIsExact:
         )
         assert norm(p) == INF
         assert not is_exact(p).holds
+
+
+@st.composite
+def event_assessments(draw):
+    """Set functions on full power sets (m = 1..4), on event sublattices and
+    on domains that need not be lattice-closed: 2-monotone, envelope,
+    maxitive (monotone, generally neither supermodular nor exact) and
+    arbitrary values, with mixed denominators, at times shifted by a
+    constant (which keeps 2-monotonicity) or at the empty event alone.
+
+    Every choice comes from one seeded generator, so the examples spread
+    evenly over the families instead of shrinking towards the first."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    space = Space(tuple("abcd"[: rng.randint(1, 4)]))
+    family = rng.choice(["cm", "floor", "envelope", "maxitive", "arbitrary"])
+    if family == "cm":
+        total = F(rng.randint(0, 6), rng.choice([1, 2, 3, 5]))
+        values = random_completely_monotone(rng, space, total).by_mask
+    elif family == "floor":
+        values = random_floor_additive(rng, space).by_mask
+    elif family == "envelope":
+        envelope = random_envelope(rng, space, rng.randint(1, 3))
+        values = {e.mask: envelope(e.indicator()) for e in space.all_events()}
+    elif family == "maxitive":
+        weights = [F(rng.randint(1, 4), rng.choice([1, 2, 3])) for _ in space.outcomes()]
+        values = {e.mask: max((weights[i] for i in e.members), default=F(0))
+                  for e in space.all_events()}
+    else:
+        values = {
+            e.mask: F(rng.randint(0, 6), rng.choice([1, 2, 3, 4, 6, 12])) if e.mask else F(0)
+            for e in space.all_events()
+        }
+    shift = rng.choice(["none", "none", "constant", "empty"])
+    if shift == "constant":
+        c = F(rng.choice([-1, 1]), rng.choice([1, 3, 7]))
+        values = {mask: v + c for mask, v in values.items()}
+    elif shift == "empty":
+        values[0] += F(rng.choice([-1, 1]), rng.choice([1, 3, 7]))
+    domain = rng.choice(["powerset", "sublattice", "unclosed"])
+    masks = set(values)
+    if domain == "sublattice":
+        masks = {e.mask for e in random_event_lattice(rng, space, rng.randint(0, 3))}
+    elif domain == "unclosed":
+        masks = {k for k in masks if k == 0 or rng.random() < 0.5}
+    events = [e for e in space.all_events() if e.mask in masks]
+    return Assessment.on_events(space, ((e, values[e.mask]) for e in events))
+
+
+class TestExactnessRoutes:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(event_assessments())
+    def test_is_exact_agrees_with_norm_programs(self, p):
+        verdict = is_exact(p)
+        _norm_analysis.cache_clear()
+        kind, payload = _norm_analysis(p)
+        assert verdict.holds == (kind == "exact")
+        if not verdict.holds:
+            assert verdict.witness == payload
+            if verdict.info == {"route": "event_shortcut"}:
+                assert isinstance(payload, UnattainableGamble)
+                assert payload.gamble == Gamble.constant(p.space, 0)
+
+    def test_shortcut_decides_two_monotone_lattices(self):
+        # 2-monotone on the power set, so on every sublattice too; adding a
+        # constant keeps 2-monotonicity and sets P(empty)
+        rng = random.Random(7)
+        for m in range(2, 5):
+            space = Space(tuple("abcd"[:m]))
+            for _ in range(10):
+                values = random_floor_additive(rng, space).by_mask
+                shift = F(rng.randint(-1, 1), 2)
+                events = space.all_events()
+                if rng.random() < 0.5:
+                    events = random_event_lattice(rng, space, rng.randint(1, 3))
+                p = Assessment.on_events(space, ((e, values[e.mask] + shift) for e in events))
+                verdict = _event_exactness_shortcut(p)
+                assert verdict is not None and verdict.info == {"route": "event_shortcut"}
+                assert verdict.holds == (shift == 0)
 
 
 class TestNaturalExtensionExact:

@@ -8,19 +8,16 @@ from lowerprev import (
     ClosureBudgetError,
     Event,
     Gamble,
-    GambleLattice,
     HomomorphismTable,
     Space,
     SpaceMismatchError,
     check_wedge_homomorphism,
     is_comonotone,
-    is_field,
     is_lattice_closed,
     join,
     lattice_closure,
     meet,
 )
-from lowerprev.errors import DomainError
 from lowerprev.monotone import minimum_table
 
 from . import oracles
@@ -85,11 +82,6 @@ class TestClosure:
             lattice_closure(singletons, budget=5)
         assert len(lattice_closure(singletons, budget=100)) == 64
 
-    def test_lattice_type_checks_closure(self):
-        with pytest.raises(DomainError):
-            GambleLattice((g2(1, 0), g2(0, 1)))
-        GambleLattice(lattice_closure([g2(1, 0), g2(0, 1)]))
-
 
 class TestComonotone:
     def test_constants_always(self):
@@ -100,18 +92,6 @@ class TestComonotone:
 
     def test_join_meet_pair(self):
         assert is_comonotone(g3(1, 1, 2), g3(0, 1, 1))
-
-
-class TestField:
-    def test_smallest(self):
-        assert is_field([Event.empty(S2), Event.full(S2)])
-
-    def test_power_set(self):
-        assert is_field(list(S3.all_events()))
-
-    def test_missing_complement(self):
-        events = [Event.empty(S2), Event.from_labels(S2, ["a"]), Event.full(S2)]
-        assert not is_field(events)
 
 
 class TestWedgeHomomorphism:
