@@ -334,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         NotExactError,
         SpaceMismatchError,
         ClosureBudgetError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         report = {"schema": "v1", "command": args.command, "error": str(exc)}

@@ -4,9 +4,16 @@ A document names a space, optionally some gambles and events, an
 assessment of lower values, and a query section.  Rationals travel as
 strings so nothing ever round-trips through a float; a gamble
 serializes as an array of rational strings and an event as an array of
-outcome labels.  Parsing validates against the bundled JSON schema
-(``schema/v1``) and then resolves references; re-serializing a parsed
-document reproduces the input value for value.
+outcome labels.  Parsing checks the document against the bundled JSON
+schema (``schema/v1``) and then resolves references; re-serializing a
+parsed document reproduces the input value for value.
+
+A small bundled checker, :func:`_conforms`, decides acceptance: it
+implements the draft 2020-12 keywords that the problem schema uses and
+nothing else.  ``jsonschema`` is imported only when that checker rejects
+a document, to word the diagnostic (its ``best_match`` error) and to
+have the last word: a document it finds no error in is accepted.  So
+start-up on the accept path never imports it.
 """
 
 from __future__ import annotations
@@ -15,11 +22,10 @@ import dataclasses
 import functools
 import importlib.resources
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
-
-import jsonschema
 
 from .assessment import Assessment
 from .choquet import ChoquetResult
@@ -60,17 +66,60 @@ def report_schema() -> dict:
     return _schema("report.schema.json")
 
 
-@functools.cache
-def _problem_validator() -> jsonschema.protocols.Validator:
-    """The problem-schema validator, built once per process.
+# Parsed once per process; ``problem_schema`` hands out a fresh copy.
+_cached_problem_schema = functools.cache(problem_schema)
 
-    ``jsonschema.validate`` would re-check the schema against its
-    metaschema on every document; the bundled schema's validity is a
-    test instead.  ``best_match`` over its errors is the error that
-    ``jsonschema.validate`` raises.
+# The draft 2020-12 type names the problem schema uses; bool is not an
+# integer, and an integral float is.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _conforms(value: Any, schema: Any, root: Mapping[str, Any]) -> bool:
+    """Whether ``value`` is valid under ``schema``, a subschema of ``root``.
+
+    Implements exactly the keywords of ``problem.schema.json`` v1: type,
+    properties, required, additionalProperties, items, minItems, minimum,
+    pattern, oneOf, enum and const (string values only) and local
+    ``#/$defs/...`` references.  Every other keyword is treated as an
+    annotation and ignored.
     """
-    schema = problem_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+    if isinstance(schema, bool):
+        return schema
+    if "$ref" in schema:
+        target = functools.reduce(dict.__getitem__, schema["$ref"][2:].split("/"), root)
+        if not _conforms(value, target, root):
+            return False
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return False
+    if isinstance(value, dict):
+        if any(key not in value for key in schema.get("required", ())):
+            return False
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        if not all(_conforms(v, properties.get(k, extra), root) for k, v in value.items()):
+            return False
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return False
+        if "items" in schema and not all(_conforms(v, schema["items"], root) for v in value):
+            return False
+    elif isinstance(value, str):
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            return False
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            return False
+    if "enum" in schema and value not in schema["enum"]:
+        return False
+    if "const" in schema and value != schema["const"]:
+        return False
+    return "oneOf" not in schema or sum(_conforms(value, s, root) for s in schema["oneOf"]) == 1
 
 
 @dataclass(frozen=True)
@@ -124,9 +173,16 @@ class ProblemDocument:
 
 def parse_document(data: Mapping[str, Any]) -> ProblemDocument:
     """Validate against ``schema/v1`` and resolve every reference."""
-    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(data))
-    if error is not None:
-        raise DocumentError(f"{error.json_path}: {error.message}") from error
+    schema = _cached_problem_schema()
+    if not _conforms(data, schema, schema):
+        import jsonschema
+
+        # Built without re-checking the schema against its metaschema, which
+        # is a test instead; ``best_match`` is what ``jsonschema.validate`` raises.
+        validator = jsonschema.validators.validator_for(schema)(schema)
+        error = jsonschema.exceptions.best_match(validator.iter_errors(data))
+        if error is not None:
+            raise DocumentError(f"{error.json_path}: {error.message}") from error
     try:
         space = Space.make(data["space"])
     except ValueError as exc:
@@ -168,7 +224,7 @@ def load_document(path: str) -> ProblemDocument:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DocumentError(f"{path}: not valid JSON: {exc}") from exc
     return parse_document(data)
 

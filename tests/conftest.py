@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lowerprev import Assessment, Gamble, Space, lattice_closure
+
+
+@pytest.fixture(scope="session")
+def src_env() -> dict[str, str]:
+    """The environment of a child Python that imports lowerprev from ``src/``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture

@@ -210,6 +210,22 @@ class TestCommands:
         assert code == 2
         assert "$.space" in out["error"]
 
+    def test_unreadable_path_exits_2(self, capsys, tmp_path):
+        code = cli.main(["check-asl", str(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert set(out) == {"schema", "command", "error"}
+        assert str(tmp_path) in out["error"]
+
+    def test_too_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        code = cli.main(["check-asl", str(deep)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert set(out) == {"schema", "command", "error"}
+        assert out["error"].startswith(f"{deep}: not valid JSON: ")
+
     def test_precondition_error_exits_2(self, capsys, doc_path):
         code = cli.main(
             ["natext", doc_path("event_prices_sure_loss.json"), "--gamble", "1,0"]
