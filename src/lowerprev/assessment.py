@@ -116,6 +116,16 @@ class Assessment:
     def __iter__(self) -> Iterator[tuple[Gamble, Fraction]]:
         return iter(self.entries)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: the cached consistency routines
+        look an assessment up on every call, and hashing every ``Fraction``
+        of every entry each time cost more than their work on power sets."""
+        return hash((self.space, self.entries))
+
     @functools.cached_property
     def by_mask(self) -> dict[int, Fraction] | None:
         """The set-function view: event bit mask -> value.
@@ -138,13 +148,20 @@ class Assessment:
         """
         vectors = _integer_view([g for g, _ in self.entries])
         index = {v: i for i, v in enumerate(vectors)}
-        tables = []
-        for op in (min, max):
-            rows = [[index.get(tuple(map(op, a, b))) for b in vectors] for a in vectors]
-            if any(None in row for row in rows):
-                return None
-            tables.append(rows)
-        return LatticeTables(*tables)
+        # conditional comprehensions, as in lattice_closure: faster than map(min, a, b)
+        meets = [
+            [index.get(tuple([x if x < y else y for x, y in zip(a, b)])) for b in vectors]
+            for a in vectors
+        ]
+        if any(None in row for row in meets):
+            return None
+        joins = [
+            [index.get(tuple([x if x > y else y for x, y in zip(a, b)])) for b in vectors]
+            for a in vectors
+        ]
+        if any(None in row for row in joins):
+            return None
+        return LatticeTables(meets, joins)
 
     @functools.cached_property
     def outcome_rows(self) -> tuple[tuple[Fraction, ...], ...]:

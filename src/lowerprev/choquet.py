@@ -29,6 +29,7 @@ from .assessment import Assessment
 from .consistency import exact_value, extension_minimum, norm
 from .errors import DomainError
 from .gambles import Event, Gamble, is_comonotone
+from .rational import common_denominator, scaled
 from .verdict import Verdict
 
 __all__ = [
@@ -124,6 +125,32 @@ def decreasing_distribution(assessment: Assessment, f: Gamble) -> DecreasingDist
     return DecreasingDistribution(tuple(steps))
 
 
+def _telescope(by_mask: dict[int, Fraction], values: tuple[Fraction, ...]):
+    """The telescoping sum of a gamble's values against a mask table.
+
+    Returns the total and one row ``(threshold, level mask, level)`` per
+    distinct value in ascending order, where the level mask is the event
+    ``{f >= threshold}``.  The thresholds are compared and differenced
+    as integers over their common denominator, which divides the total
+    once at the end.  The one Choquet sum of the library: it serves
+    :func:`choquet_integral` and the certified route of the consistency
+    module alike.
+    """
+    scale = common_denominator(values)
+    ints = scaled(values, scale)
+    threshold = dict(zip(ints, values))
+    total = ZERO
+    rows = []
+    previous = 0  # the first step is level(full) * inf f
+    for v in sorted(threshold):
+        mask = sum([1 << i for i, x in enumerate(ints) if x >= v])
+        level = by_mask[mask]
+        total += (v - previous) * level
+        rows.append((threshold[v], mask, level))
+        previous = v
+    return total / scale, rows
+
+
 def choquet_integral(assessment: Assessment, f: Gamble) -> ChoquetResult:
     """The exact telescoping sum of the decreasing distribution.
 
@@ -134,21 +161,10 @@ def choquet_integral(assessment: Assessment, f: Gamble) -> ChoquetResult:
     by_mask = _monotone_set_function(assessment)
     if by_mask[0] != 0:
         raise DomainError("the empty event must carry value zero")
+    total, rows = _telescope(by_mask, f.values)
     space = assessment.space
-    full_mask = (1 << space.size) - 1
-    trace = []
-    total = ZERO
-    previous = None
-    for v in sorted(set(f.values)):
-        level_set = f.level_set(v)
-        level = by_mask[level_set.mask]
-        if previous is None:
-            total = by_mask[full_mask] * v
-        else:
-            total += (v - previous) * level
-        trace.append((v, level_set, level))
-        previous = v
-    return ChoquetResult(total, tuple(trace))
+    trace = tuple([(v, Event.from_mask(space, mask), level) for v, mask, level in rows])
+    return ChoquetResult(total, trace)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Consistency of assessments: sure loss, coherence, exactness, extension.
 
-Everything here reduces to exact-rational linear programs over the
-mass functionals dominating an assessment:
+The questions are posed over the mass functionals dominating an
+assessment:
 
 * an assessment avoids sure loss iff some probability mass (total mass
   one) dominates it on its domain;
@@ -12,11 +12,26 @@ mass functionals dominating an assessment:
 * it is exact iff it is a nonnegative multiple of a coherent
   assessment, and its norm is the least such multiple.
 
-The norm is computed by interval intersection: for every domain gamble
-``f0`` the achievable total masses of dominators pinned to ``f0``'s
-assessed value form an interval ``[l(f0), u(f0)]``; the assessment is
-exact iff every interval is nonempty and they all intersect, and the
-norm is then ``max_f0 l(f0)``.  Feasibility of the norm itself and
+Two routes answer them.  A set function on a lattice of events that
+holds the empty and full events, assesses the empty event at zero and
+is 2-monotone is exact with norm ``P(full)``, and its natural extension
+at that total is the Choquet integral of its inner set function (de
+Cooman, Troffaes & Miranda 2008; Denneberg 1994, ch. 6).  Such an
+assessment is certified once and cached: on the full power set by the
+local test of monotonicity and supermodularity on neighbouring events
+(Topkis 1998, ch. 2), on a smaller lattice by the order-two scan.  The
+certificate decides ``norm``, ``is_exact`` and ``decompose``, a
+positive ``is_coherent`` when ``P(full) = 1``, and the natural
+extensions at total ``P(full)`` without a program.  Every other
+question, and every negative verdict with its witness, reduces to
+exact-rational linear programs.
+
+On the program route the norm is computed by interval intersection:
+for every domain gamble ``f0`` the achievable total masses of
+dominators pinned to ``f0``'s assessed value form an interval
+``[l(f0), u(f0)]``; the assessment is exact iff every interval is
+nonempty and they all intersect, and the norm is then
+``max_f0 l(f0)``.  Feasibility of the norm itself and
 minimality of any feasible scale both follow from the decomposition of
 exact functionals into scale times coherent part, which is also what
 :func:`decompose` returns.  The definitional closed-form norm for
@@ -223,6 +238,78 @@ def _dual_program(
     return outcome, offset - outcome.value
 
 
+def _locally_two_monotone(by_mask: dict[int, Fraction], size: int) -> bool:
+    """Monotone and supermodular, by the local test on the full power set.
+
+    ``P(A | i) >= P(A)`` and ``P(A | i | j) + P(A) >= P(A | i) + P(A | j)``
+    for every event A and outcomes i < j outside it, on values scaled to
+    integers.  On the Boolean lattice, a product of two-element chains,
+    these imply monotonicity and supermodularity on all pairs (Topkis
+    1998, ch. 2), which on a lattice are orders one and two of
+    n-monotonicity.
+    """
+    count = 1 << size
+    values = [by_mask[mask] for mask in range(count)]
+    v = scaled(values, common_denominator(values))
+    bits = [1 << i for i in range(size)]
+    for mask in range(count):
+        low = v[mask]
+        free = [b for b in bits if not mask & b]
+        for k, bi in enumerate(free):
+            up_i = v[mask | bi]
+            if up_i < low:
+                return False
+            for bj in free[k + 1:]:
+                if v[mask | bi | bj] + low < up_i + v[mask | bj]:
+                    return False
+    return True
+
+
+def _choquet_certificate(assessment: Assessment) -> dict[int, Fraction] | None:
+    """The power-set mask table whose Choquet integral is the natural extension.
+
+    Returned when the domain is a lattice of events holding the empty
+    and full events, the empty event is assessed at zero and the
+    assessment is 2-monotone: such an assessment is exact with norm
+    ``P(full)``, and its natural extension at that total is the Choquet
+    integral of its inner set function (de Cooman, Troffaes & Miranda
+    2008; Denneberg 1994, ch. 6).  The table is ``by_mask`` itself on a
+    full power set and the inner set function's otherwise.  None for
+    every other assessment, and before any cache lookup when the domain
+    holds a gamble that is not an indicator.
+    """
+    if assessment.by_mask is None:
+        return None
+    return _certified_table(assessment)
+
+
+@functools.lru_cache(maxsize=1)
+def _certified_table(assessment: Assessment) -> dict[int, Fraction] | None:
+    """Cached body of :func:`_choquet_certificate`, like :func:`_norm_analysis`."""
+    from .monotone import is_n_monotone, powerset_inner  # monotone imports this module
+
+    by_mask = assessment.by_mask
+    size = assessment.space.size
+    if by_mask.get(0) != 0 or (1 << size) - 1 not in by_mask:
+        return None
+    if assessment.is_full_powerset:
+        return by_mask if _locally_two_monotone(by_mask, size) else None
+    if assessment.lattice is None or not is_n_monotone(assessment, 2).holds:
+        return None
+    return powerset_inner(assessment).by_mask
+
+
+def _full_value(table: dict[int, Fraction]) -> Fraction:
+    """``P(full)`` from a power-set mask table, whose largest mask is the full event."""
+    return table[len(table) - 1]
+
+
+def _choquet_value(table: dict[int, Fraction], gamble: Gamble) -> Fraction:
+    from .choquet import _telescope  # choquet imports this module
+
+    return _telescope(table, gamble.values)[0]
+
+
 def avoids_sure_loss(assessment: Assessment) -> Verdict:
     """Is some probability mass functional above the assessment?
 
@@ -258,7 +345,10 @@ def natural_extension_prevision(assessment: Assessment, gamble: Gamble) -> Fract
     """The lower envelope, at ``gamble``, of the dominating linear previsions.
 
     One linear program: minimize the mass value of ``gamble`` over all
-    probability masses dominating the assessment on its domain.
+    probability masses dominating the assessment on its domain.  A
+    certified 2-monotone event assessment (see
+    :func:`_choquet_certificate`) needs none: at ``P(full) = 1`` the value
+    is the Choquet integral, and above one no probability dominates.
 
     >>> from .gambles import Space
     >>> s = Space(("a", "b", "c"))
@@ -267,14 +357,28 @@ def natural_extension_prevision(assessment: Assessment, gamble: Gamble) -> Fract
     >>> natural_extension_prevision(p, Gamble.make(s, [1, 1, 2]))
     Fraction(1, 1)
     """
-    _, value = _dual_program(assessment, gamble.values, ONE)
+    table = _choquet_certificate(assessment)
+    if table is None or _full_value(table) < 1:
+        _, value = _dual_program(assessment, gamble.values, ONE)
+    elif _full_value(table) == 1:
+        return _choquet_value(table, gamble)
+    else:
+        value = None  # the full event above one: no probability dominates
     if value is None:
         raise SureLossError("assessment incurs sure loss; no natural extension exists")
     return value
 
 
 def is_coherent(assessment: Assessment) -> Verdict:
-    """Does the assessment coincide with its natural extension on its domain?"""
+    """Does the assessment coincide with its natural extension on its domain?
+
+    A certified 2-monotone event assessment (see
+    :func:`_choquet_certificate`) with the full event at one is coherent
+    without a program; every negative verdict comes from the programs.
+    """
+    table = _choquet_certificate(assessment)
+    if table is not None and _full_value(table) == 1:
+        return Verdict(True)
     asl = avoids_sure_loss(assessment)
     if not asl:
         return Verdict(False, asl.witness, info={"sure_loss": True})
@@ -312,8 +416,12 @@ def _norm_analysis(assessment: Assessment):
     Cached: assessments are immutable and the callers that chain norm,
     extension and attainment queries keep hitting the same one.  One
     entry is enough for those chains and keeps no older assessment
-    (with its index and mask table) alive.
+    (with its index and mask table) alive.  A certified 2-monotone event
+    assessment is exact with norm ``P(full)`` and needs no program.
     """
+    table = _choquet_certificate(assessment)
+    if table is not None:
+        return "exact", _full_value(table)
     best_low: tuple[Fraction, Gamble] | None = None
     best_high: tuple[Fraction | float, Gamble] | None = None
     for gamble, value in assessment.entries:
@@ -345,46 +453,15 @@ def norm(assessment: Assessment) -> Fraction | float:
     return payload if kind == "exact" else INF
 
 
-def _event_exactness_shortcut(assessment: Assessment) -> Verdict | None:
-    """Exactness of a certified 2-monotone set function on an event lattice.
-
-    When the domain consists of indicators, is closed under union and
-    intersection and contains the empty and full events, and
-    ``is_n_monotone(assessment, 2)`` holds (on a lattice, orders one and
-    two are exactly monotonicity and supermodularity), exactness is
-    equivalent to the empty event being assessed at zero.  Otherwise
-    returns None and the norm programs decide.  Cross-checked against
-    the linear programming route in the test suite.
-    """
-    from .monotone import is_n_monotone  # monotone imports this module
-
-    by_mask = assessment.by_mask
-    if not by_mask:
-        return None
-    full = (1 << assessment.space.size) - 1
-    if 0 not in by_mask or full not in by_mask:
-        return None
-    if assessment.lattice is None or not is_n_monotone(assessment, 2).holds:
-        return None
-    if by_mask[0] == 0:
-        return Verdict(True, info={"route": "event_shortcut"})
-    empty = Gamble.constant(assessment.space, 0)
-    return Verdict(
-        False, UnattainableGamble(empty), info={"route": "event_shortcut"}
-    )
-
-
 def is_exact(assessment: Assessment) -> Verdict:
     """Can the assessment be extended to an exact functional on all gambles?
 
-    Equivalent to the norm being finite.  For set functions on event
-    lattices with a 2-monotonicity certificate the empty-event
-    criterion is applied first; all other assessments go through the
-    norm programs.
+    Equivalent to the norm being finite.  A positive verdict carries the
+    norm in ``info``.  A certified 2-monotone event assessment (see
+    :func:`_choquet_certificate`) is exact with norm ``P(full)`` without
+    a program; every other assessment, and every negative verdict with
+    its witness, goes through the norm programs.
     """
-    shortcut = _event_exactness_shortcut(assessment)
-    if shortcut is not None:
-        return shortcut
     kind, payload = _norm_analysis(assessment)
     if kind == "exact":
         return Verdict(True, info={"norm": payload})
@@ -397,8 +474,13 @@ def extension_minimum(assessment: Assessment, gamble: Gamble, total: Fraction) -
     Callers that already know the norm use this to avoid recomputing
     it; :func:`natural_extension_exact` is the checked entry point.
     Raises :class:`InfeasibleTotalError` when no dominating mass
-    functional has that total, for instance below the norm.
+    functional has that total, for instance below the norm.  At the
+    total ``P(full)`` of a certified 2-monotone event assessment the
+    minimum is the Choquet integral, found without a program.
     """
+    table = _choquet_certificate(assessment)
+    if table is not None and total == _full_value(table):
+        return _choquet_value(table, gamble)
     _, value = _dual_program(assessment, gamble.values, total)
     if value is None:
         raise InfeasibleTotalError(
@@ -413,7 +495,16 @@ def natural_extension_exact(assessment: Assessment, gamble: Gamble) -> Fraction:
     The minimum of the mass values at ``gamble`` over the mass
     functionals that dominate the assessment and whose total mass
     equals the norm.  Scaling commutes: this equals the norm times the
-    natural extension of the decomposed coherent part.
+    natural extension of the decomposed coherent part.  On a certified
+    2-monotone event assessment it is the Choquet integral, here
+    ``2 * 1 + (3 - 1) * P({b})``:
+
+    >>> from .gambles import Event, Space
+    >>> s = Space(("a", "b"))
+    >>> values = {(): 0, ("a",): "1/2", ("b",): 0, ("a", "b"): 2}
+    >>> p = Assessment.on_events(s, {Event.from_labels(s, k): v for k, v in values.items()})
+    >>> natural_extension_exact(p, Gamble.make(s, [1, 3]))
+    Fraction(2, 1)
     """
     scale = norm(assessment)
     if scale == INF:

@@ -194,7 +194,10 @@ def parse_document(data: Mapping[str, Any]) -> ProblemDocument:
             raise DocumentError(
                 f"$.gambles.{name}: {len(vector)} values on a space of size {space.size}"
             )
-        gambles[name] = Gamble.make(space, vector)
+        try:
+            gambles[name] = Gamble.make(space, vector)
+        except ValueError as exc:
+            raise DocumentError(f"$.gambles.{name}: {exc}") from exc
     events: dict[str, Event] = {}
     for name, labels in data.get("events", {}).items():
         try:
@@ -210,7 +213,10 @@ def parse_document(data: Mapping[str, Any]) -> ProblemDocument:
             g = doc.resolve_gamble(entry["gamble"], path + ".gamble")
         else:
             g = doc.resolve_event(entry["event"], path + ".event").indicator()
-        value = parse_rational(entry["lower"])
+        try:
+            value = parse_rational(entry["lower"])
+        except ValueError as exc:
+            raise DocumentError(f"{path}.lower: {exc}") from exc
         entries.append((g, value))
     try:
         assessment = Assessment(space, tuple(entries))

@@ -10,6 +10,13 @@ the subset-loop definition.  The library's integer simplex is compared
 with the same two-phase simplex on a ``Fraction`` tableau, and its
 integer lattice closure with the closure under ``Fraction`` meets and
 joins.
+
+The consistency routes that skip the linear programs on certified
+2-monotone event assessments are compared with the program loops alone:
+coherence entry by entry, the norm by interval intersection and the
+extension at a given total, each posed through the library's one
+program formulation (``consistency._dual_program``) and never through
+the certificate.
 """
 
 from __future__ import annotations
@@ -19,10 +26,19 @@ import math
 from fractions import Fraction
 
 from lowerprev.assessment import Assessment
+from lowerprev.consistency import (
+    CoherenceGap,
+    NormIntervalGap,
+    UnattainableGamble,
+    _attainment_interval,
+    _dual_program,
+    avoids_sure_loss,
+)
 from lowerprev.errors import ClosureBudgetError, SpaceMismatchError
 from lowerprev.gambles import Gamble, join, meet, sort_gambles
 from lowerprev.monotone import MonotonicityReport, MonotonicityViolation
 from lowerprev.simplex import LinearProgram, LPOutcome, LPStatus, Relation
+from lowerprev.verdict import Verdict
 
 ZERO = Fraction(0)
 
@@ -399,3 +415,47 @@ def fraction_simplex(lp: LinearProgram) -> LPOutcome:
     return LPOutcome(
         LPStatus.OPTIMAL, value=value, optimizer=tuple(x), duals=multipliers(phase2)
     )
+
+
+def lp_extension(assessment: Assessment, gamble: Gamble, total: Fraction) -> Fraction | None:
+    """The least value at ``gamble`` of a dominating mass of the given total,
+    by one program; None when no mass of that total dominates."""
+    return _dual_program(assessment, gamble.values, total)[1]
+
+
+def lp_is_coherent(assessment: Assessment) -> Verdict:
+    """Coherence by the programs: sure loss first, then every entry in
+    order against its natural extension, the first gap its witness."""
+    asl = avoids_sure_loss(assessment)
+    if not asl:
+        return Verdict(False, asl.witness, info={"sure_loss": True})
+    for gamble, value in assessment.entries:
+        extension = lp_extension(assessment, gamble, Fraction(1))
+        if extension != value:
+            return Verdict(False, CoherenceGap(gamble, value, extension))
+    return Verdict(True)
+
+
+def lp_norm_analysis(assessment: Assessment) -> tuple[str, object]:
+    """The norm by intersecting every entry's attainment interval.
+
+    ``("exact", norm)``, ``("unattainable", UnattainableGamble)`` for the
+    first entry no dominating mass attains, or ``("gap",
+    NormIntervalGap)`` for the largest low end above the smallest high
+    end (first in entry order on ties).
+    """
+    best_low = best_high = None
+    for gamble, value in assessment.entries:
+        interval = _attainment_interval(assessment, gamble, value)
+        if interval is None:
+            return "unattainable", UnattainableGamble(gamble)
+        low, high = interval
+        if best_low is None or low > best_low[0]:
+            best_low = (low, gamble)
+        if best_high is None or high < best_high[0]:
+            best_high = (high, gamble)
+    if best_low is None:
+        return "exact", ZERO
+    if best_low[0] > best_high[0]:
+        return "gap", NormIntervalGap(best_low[1], best_low[0], best_high[1], best_high[0])
+    return "exact", best_low[0]

@@ -2,8 +2,10 @@ import math
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import lowerprev
 from lowerprev import (
     Assessment,
+    DomainError,
     Event,
     Gamble,
     InfeasibleTotalError,
@@ -19,23 +22,27 @@ from lowerprev import (
     NotExactError,
     Space,
     SureLossError,
+    Verdict,
     avoids_sure_loss,
     conjugate,
     decompose,
     find_attaining,
     is_coherent,
+    is_comonotone_additive,
     is_exact,
+    is_n_monotone,
     join,
     meet,
     natural_extension_exact,
     natural_extension_prevision,
     norm,
 )
+from lowerprev import consistency
 from lowerprev.consistency import (
     CoherenceGap,
     UnattainableGamble,
-    _event_exactness_shortcut,
-    _norm_analysis,
+    _choquet_certificate,
+    _locally_two_monotone,
     extension_minimum,
 )
 from lowerprev.sampling import (
@@ -47,7 +54,14 @@ from lowerprev.sampling import (
 )
 
 from .conftest import step_extension_value
-from .oracles import credal_vertices, definitional_norm_single
+from .oracles import (
+    credal_vertices,
+    definitional_norm_single,
+    lp_extension,
+    lp_is_coherent,
+    lp_norm_analysis,
+    ordered_scan,
+)
 
 INF = math.inf
 
@@ -227,20 +241,19 @@ class TestNorm:
 
 class TestIsExact:
     def test_two_monotone_events(self, step_event_assessment):
-        by_shortcut = _event_exactness_shortcut(step_event_assessment)
-        kind, _ = _norm_analysis(step_event_assessment)
-        assert by_shortcut.holds and kind == "exact"
-        assert by_shortcut.info["route"] == "event_shortcut"
-        assert is_exact(step_event_assessment) == by_shortcut
+        assert _choquet_certificate(step_event_assessment) is not None
+        verdict = is_exact(step_event_assessment)
+        assert verdict == Verdict(True, info={"norm": F(1)})
+        assert lp_norm_analysis(step_event_assessment) == ("exact", F(1))
 
     def test_nonzero_empty_event(self, abc):
         entries = {e: F(1, 10) if e.size == 0 else F(e.size, 3) for e in abc.all_events()}
         p = Assessment.on_events(abc, entries)
-        by_shortcut = _event_exactness_shortcut(p)
-        kind, witness = _norm_analysis(p)
-        assert not by_shortcut.holds and kind == "unattainable"
-        assert by_shortcut.witness == witness
-        assert isinstance(witness, UnattainableGamble)
+        assert _choquet_certificate(p) is None
+        verdict = is_exact(p)
+        kind, witness = lp_norm_analysis(p)
+        assert not verdict.holds and kind == "unattainable"
+        assert verdict.witness == witness == UnattainableGamble(Gamble.constant(abc, 0))
 
     def test_negative_gamble(self, ab):
         f = Gamble.make(ab, [-2, -1])
@@ -309,19 +322,34 @@ def event_assessments(draw):
     return Assessment.on_events(space, ((e, values[e.mask]) for e in events))
 
 
+@contextmanager
+def programs_only():
+    """Every call on the linear programs: the certificate switched off and
+    the norm cache emptied on the way in and out."""
+    consistency._norm_analysis.cache_clear()
+    with mock.patch.object(consistency, "_choquet_certificate", lambda assessment: None):
+        yield
+    consistency._norm_analysis.cache_clear()
+
+
+def outcome(call):
+    """The call's value, or the type and message of the library error it raised."""
+    try:
+        return call()
+    except (DomainError, SureLossError, NotExactError, InfeasibleTotalError) as exc:
+        return type(exc), str(exc)
+
+
 class TestExactnessRoutes:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(event_assessments())
     def test_is_exact_agrees_with_norm_programs(self, p):
-        verdict = is_exact(p)
-        _norm_analysis.cache_clear()
-        kind, payload = _norm_analysis(p)
-        assert verdict.holds == (kind == "exact")
-        if not verdict.holds:
-            assert verdict.witness == payload
-            if verdict.info == {"route": "event_shortcut"}:
-                assert isinstance(payload, UnattainableGamble)
-                assert payload.gamble == Gamble.constant(p.space, 0)
+        kind, payload = lp_norm_analysis(p)
+        exact = kind == "exact"
+        expected = Verdict(True, info={"norm": payload}) if exact else Verdict(False, payload)
+        assert is_exact(p) == expected
+        if _choquet_certificate(p) is not None:
+            assert exact and payload == p.value(Gamble.constant(p.space, 1))
 
     def test_shortcut_decides_two_monotone_lattices(self):
         # 2-monotone on the power set, so on every sublattice too; adding a
@@ -336,9 +364,89 @@ class TestExactnessRoutes:
                 if rng.random() < 0.5:
                     events = random_event_lattice(rng, space, rng.randint(1, 3))
                 p = Assessment.on_events(space, ((e, values[e.mask] + shift) for e in events))
-                verdict = _event_exactness_shortcut(p)
-                assert verdict is not None and verdict.info == {"route": "event_shortcut"}
-                assert verdict.holds == (shift == 0)
+                assert (_choquet_certificate(p) is not None) == (shift == 0)
+                assert is_exact(p).holds == (shift == 0)
+
+
+class TestChoquetRoute:
+    """The certified calls against the linear programs alone."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(event_assessments(), st.integers(0, 2**32 - 1))
+    def test_routed_calls_equal_the_programs(self, p, seed):
+        rng = random.Random(seed)
+        unit = Gamble.constant(p.space, 1)
+        outside = random_gamble(rng, p.space)
+        inside = rng.choice(p.domain) if p.domain else outside
+        kind, payload = lp_norm_analysis(p)
+        scale = payload if kind == "exact" else INF
+
+        def composed():
+            return [
+                outcome(lambda: decompose(p)),
+                outcome(lambda: is_comonotone_additive(p)),
+                outcome(lambda: find_attaining(p, inside, outside)),
+            ]
+
+        with programs_only():
+            expected = composed()
+        assert composed() == expected
+        assert is_coherent(p) == lp_is_coherent(p)
+        assert norm(p) == scale
+        assert is_exact(p).holds == (kind == "exact")
+        for g in (outside, inside, unit):
+            value = lp_extension(p, g, F(1))
+            if value is None:
+                message = "^assessment incurs sure loss; no natural extension exists$"
+                with pytest.raises(SureLossError, match=message):
+                    natural_extension_prevision(p, g)
+            else:
+                assert natural_extension_prevision(p, g) == value
+            if scale == INF:
+                with pytest.raises(NotExactError):
+                    natural_extension_exact(p, g)
+                continue
+            assert natural_extension_exact(p, g) == lp_extension(p, g, scale)
+            for total in (scale, scale + F(1, 2), scale - F(1, 2)):
+                value = lp_extension(p, g, total)
+                if value is None:
+                    with pytest.raises(InfeasibleTotalError):
+                        extension_minimum(p, g, total)
+                else:
+                    assert extension_minimum(p, g, total) == value
+
+    def test_certificate_matches_the_scans_on_power_sets(self):
+        rng = random.Random(2008)
+        agreed = {True: 0, False: 0}
+        for m in range(1, 6):
+            space = Space(tuple("abcde"[:m]))
+            for index in range(24 if m < 5 else 8):
+                family = index % 4
+                if family == 0:
+                    # supermodular; a modular part subtracted may break monotonicity
+                    weight = F(rng.randint(0, 3), 4)
+                    values = random_floor_additive(rng, space).by_mask
+                    p = Assessment.on_events(space, (
+                        (e, values[e.mask] - weight * e.size) for e in space.all_events()
+                    ))
+                elif family == 1:
+                    p = random_completely_monotone(rng, space)
+                elif family == 2:
+                    envelope = random_envelope(rng, space, rng.randint(1, 3))
+                    p = envelope.restrict([e.indicator() for e in space.all_events()])
+                else:
+                    low = rng.choice([-2, 0])
+                    p = Assessment.on_events(space, (
+                        (e, F(rng.randint(low, 6), rng.choice([1, 2, 3])) if e.mask else F(0))
+                        for e in space.all_events()
+                    ))
+                local = _locally_two_monotone(p.by_mask, m)
+                assert local == is_n_monotone(p, 2).holds
+                if m <= 4 or index < 2:
+                    assert local == ordered_scan(p, 2).holds
+                assert (_choquet_certificate(p) is not None) == local
+                agreed[local] += 1
+        assert min(agreed.values()) >= 20
 
 
 class TestNaturalExtensionExact:

@@ -226,6 +226,21 @@ class TestCommands:
         assert set(out) == {"schema", "command", "error"}
         assert out["error"].startswith(f"{deep}: not valid JSON: ")
 
+    @pytest.mark.parametrize("document, error", [
+        ({"space": ["a", "b"], "assessment": [{"gamble": ["1", "0"], "lower": "1/0"}]},
+         "$.assessment[0].lower: zero denominator: '1/0'"),
+        ({"space": ["a", "b"], "gambles": {"f": ["1/0", "1"]},
+          "assessment": [{"gamble": "f", "lower": "0"}]},
+         "$.gambles.f: zero denominator: '1/0'"),
+    ], ids=["lower", "named-gamble"])
+    def test_zero_denominator_names_its_field(self, capsys, tmp_path, document, error):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(document))
+        code = cli.main(["check-asl", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out == {"schema": "v1", "command": "check-asl", "error": error}
+
     def test_precondition_error_exits_2(self, capsys, doc_path):
         code = cli.main(
             ["natext", doc_path("event_prices_sure_loss.json"), "--gamble", "1,0"]

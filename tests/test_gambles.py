@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowerprev import (
+    Assessment,
     ClosureBudgetError,
     Event,
     Gamble,
@@ -236,6 +237,19 @@ class TestIntegerClosureAgainstFractions:
             assert str(err.value) == message
         assert (lattice_closure(generators, budget=size)
                 == oracles.fraction_closure(generators, budget=size))
+
+    @DIFFERENTIAL
+    @given(generator_lists())
+    def test_lattice_tables(self, generators):
+        closure = lattice_closure(generators)
+        tables = Assessment.of(closure[0].space, ((g, 0) for g in closure)).lattice
+        for i, f in enumerate(closure):
+            assert [closure[k] for k in tables.meet[i]] == [meet(f, g) for g in closure]
+            assert [closure[k] for k in tables.join[i]] == [join(f, g) for g in closure]
+        for k in range(len(closure)):
+            rest = closure[:k] + closure[k + 1:]
+            unclosed = Assessment.of(closure[0].space, ((g, 0) for g in rest)).lattice is None
+            assert unclosed == (not oracles.fraction_is_lattice_closed(list(rest)))
 
     def test_space_mismatch(self):
         mixed = [g2(0, 1), Gamble.make(Space(("x", "y")), [1, 0])]

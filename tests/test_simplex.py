@@ -26,7 +26,7 @@ from lowerprev.simplex import (
     solve,
 )
 
-from lowerprev.sampling import random_completely_monotone, random_envelope, random_gamble
+from lowerprev.sampling import random_envelope, random_gamble
 
 from .oracles import brute_force_lp, fraction_simplex
 
@@ -462,7 +462,8 @@ class TestRecordedPrograms:
     def test_powerset_assessment(self, recorded):
         rng = random.Random(4)
         space = Space(("a", "b", "c", "d"))
-        assessment = random_completely_monotone(rng, space)
+        events = [e.indicator() for e in space.all_events()]
+        assessment = random_envelope(rng, space, 3).restrict(events)
         self.session(assessment, [random_gamble(rng, space) for _ in range(2)])
         assert len(recorded) > 2 * 16
         statuses = {assert_same_as_oracle(program).status for program in recorded}
