@@ -26,6 +26,7 @@ __all__ = [
     "MassFunctional",
     "LowerEnvelope",
     "ExactDecomposition",
+    "conjugate",
 ]
 
 
@@ -179,12 +180,19 @@ class Assessment:
         """True when the assessment is a set function on all 2^m events."""
         return self.by_mask is not None and len(self.by_mask) == 1 << self.space.size
 
-    def is_lower_probability(self) -> bool:
-        """True when every domain gamble is a 0/1 indicator."""
-        return self.by_mask is not None
-
     def scale(self, factor: Fraction) -> "Assessment":
         return Assessment(self.space, tuple((g, factor * v) for g, v in self.entries))
+
+
+def conjugate(assessment: Assessment) -> Assessment:
+    """The conjugate assessment: domain negated, values negated.
+
+    An involution; on a linear prevision's restriction it returns the
+    restriction to the negated domain.
+    """
+    return Assessment(
+        assessment.space, tuple((-g, -v) for g, v in assessment.entries)
+    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .assessment import Assessment
-from .consistency import exact_value, extension_minimum, norm
 from .errors import DomainError
 from .gambles import Event, Gamble, is_comonotone
 from .rational import common_denominator, scaled
@@ -180,6 +179,8 @@ class AdditivityGap:
     via_extension: bool
 
     def check(self, assessment: Assessment) -> bool:
+        from .consistency import exact_value
+
         if self.f not in assessment or self.g not in assessment:
             return False
         sum_value = exact_value(assessment, self.f + self.g)
@@ -199,6 +200,8 @@ def is_comonotone_additive(assessment: Assessment) -> Verdict:
     verdict's ``info`` records which pairs needed that.  The domain
     must be a lattice.
     """
+    from .consistency import extension_minimum, norm
+
     if assessment.lattice is None:
         raise DomainError("comonotone additivity needs a lattice-closed domain")
     scale: Fraction | float | None = None

@@ -18,18 +18,6 @@ import sys
 from typing import Any, Callable
 
 from .assessment import Assessment
-from .choquet import choquet_integral, is_comonotone_additive
-from .consistency import (
-    avoids_sure_loss,
-    decompose,
-    exact_value,
-    find_attaining,
-    is_coherent,
-    is_exact,
-    natural_extension_exact,
-    natural_extension_prevision,
-    norm,
-)
 from .document import (
     DocumentError,
     ProblemDocument,
@@ -50,15 +38,6 @@ from .errors import (
     SureLossError,
 )
 from .gambles import BUDGET_ENV_VAR
-from .monotone import (
-    inner_extension,
-    inner_set_function,
-    is_n_alternating,
-    is_n_monotone,
-    mobius,
-    powerset_inner,
-    vacuous,
-)
 from .rational import format_rational
 from .verdict import Verdict
 
@@ -85,7 +64,13 @@ def _queries(doc: ProblemDocument, flags: dict[str, Any], needed: tuple[str, ...
 def _parse_n(raw: Any) -> int | float:
     if raw in ("inf", math.inf):
         return math.inf
-    return int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise _QueryError(f"n: order must be a positive integer or 'inf', got {raw!r}")
+    return n
 
 
 def _report_verdict(verdict: Verdict, doc: ProblemDocument, args) -> tuple[list[dict], bool]:
@@ -96,22 +81,32 @@ def _report_verdict(verdict: Verdict, doc: ProblemDocument, args) -> tuple[list[
 
 
 def _cmd_check_asl(doc, args):
+    from .consistency import avoids_sure_loss
+
     return _report_verdict(avoids_sure_loss(doc.assessment), doc, args)
 
 
 def _cmd_check_coherent(doc, args):
+    from .consistency import is_coherent
+
     return _report_verdict(is_coherent(doc.assessment), doc, args)
 
 
 def _cmd_check_exact(doc, args):
+    from .consistency import is_exact
+
     return _report_verdict(is_exact(doc.assessment), doc, args)
 
 
 def _cmd_norm(doc, args):
+    from .consistency import norm
+
     return [{"value": format_rational(norm(doc.assessment))}], False
 
 
 def _cmd_decompose(doc, args):
+    from .consistency import decompose
+
     parts = decompose(doc.assessment)
     return [
         {
@@ -123,6 +118,8 @@ def _cmd_decompose(doc, args):
 
 
 def _cmd_natext(doc, args):
+    from .consistency import natural_extension_exact, natural_extension_prevision
+
     flags = {"gamble": args.gamble}
     results = []
     for query in _queries(doc, flags, ("gamble",)):
@@ -143,6 +140,8 @@ def _cmd_natext(doc, args):
 
 
 def _cmd_inner(doc, args):
+    from .monotone import inner_extension, inner_set_function
+
     results = []
     if args.gamble is None and args.event is None:
         queries = [q for q in doc.queries if "gamble" in q or "event" in q]
@@ -172,6 +171,8 @@ def _restricted_assessment(doc: ProblemDocument, domain: str) -> Assessment:
 
 
 def _cmd_nmono(doc, args, alternating=False):
+    from .monotone import is_n_alternating, is_n_monotone
+
     flags = {"n": args.n}
     results = []
     any_no = False
@@ -199,22 +200,32 @@ def _cmd_nalt(doc, args):
 
 
 def _cmd_comadd(doc, args):
+    from .choquet import is_comonotone_additive
+
     return _report_verdict(is_comonotone_additive(doc.assessment), doc, args)
 
 
 def _cmd_mobius(doc, args):
+    from .monotone import mobius
+
     transform = mobius(doc.assessment)
     return [{"coefficients": mobius_to_json(transform)}], False
 
 
 def _cmd_choquet(doc, args):
-    if not doc.assessment.is_lower_probability():
+    from .choquet import choquet_integral
+
+    if doc.assessment.by_mask is None:
         raise _QueryError(
             "choquet needs an assessment on events; this document assesses gambles"
         )
     flags = {"gamble": args.gamble}
     extended = not doc.assessment.is_full_powerset
-    set_function = powerset_inner(doc.assessment) if extended else doc.assessment
+    set_function = doc.assessment
+    if extended:
+        from .monotone import powerset_inner
+
+        set_function = powerset_inner(doc.assessment)
     results = []
     for query in _queries(doc, flags, ("gamble",)):
         gamble = doc.resolve_gamble(query["gamble"])
@@ -227,6 +238,8 @@ def _cmd_choquet(doc, args):
 
 
 def _cmd_attain(doc, args):
+    from .consistency import exact_value, find_attaining, norm
+
     flags = {"f": args.f, "g": args.g}
     results = []
     any_no = False
@@ -255,6 +268,8 @@ def _cmd_attain(doc, args):
 
 
 def _cmd_vacuous(doc, args):
+    from .monotone import vacuous
+
     flags = {"event": args.event, "gamble": args.gamble}
     results = []
     for query in _queries(doc, flags, ("event", "gamble")):

@@ -69,7 +69,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterable
 
 from . import simplex
-from .assessment import Assessment, ExactDecomposition, MassFunctional
+from .assessment import Assessment, ExactDecomposition, MassFunctional, conjugate
 from .errors import InfeasibleTotalError, NotExactError, SureLossError
 from .gambles import Gamble
 from .rational import common_denominator, scaled
@@ -91,7 +91,6 @@ __all__ = [
     "decompose",
     "conjugate",
     "find_attaining",
-    "vacuous_value",
 ]
 
 ZERO = Fraction(0)
@@ -286,14 +285,14 @@ def _choquet_certificate(assessment: Assessment) -> dict[int, Fraction] | None:
 @functools.lru_cache(maxsize=1)
 def _certified_table(assessment: Assessment) -> dict[int, Fraction] | None:
     """Cached body of :func:`_choquet_certificate`, like :func:`_norm_analysis`."""
-    from .monotone import is_n_monotone, powerset_inner  # monotone imports this module
-
     by_mask = assessment.by_mask
     size = assessment.space.size
     if by_mask.get(0) != 0 or (1 << size) - 1 not in by_mask:
         return None
     if assessment.is_full_powerset:
         return by_mask if _locally_two_monotone(by_mask, size) else None
+    from .monotone import is_n_monotone, powerset_inner  # loaded on demand: sublattices only
+
     if assessment.lattice is None or not is_n_monotone(assessment, 2).holds:
         return None
     return powerset_inner(assessment).by_mask
@@ -305,7 +304,7 @@ def _full_value(table: dict[int, Fraction]) -> Fraction:
 
 
 def _choquet_value(table: dict[int, Fraction], gamble: Gamble) -> Fraction:
-    from .choquet import _telescope  # choquet imports this module
+    from .choquet import _telescope  # loaded on demand: only certified tables need it
 
     return _telescope(table, gamble.values)[0]
 
@@ -519,11 +518,6 @@ def exact_value(assessment: Assessment, gamble: Gamble) -> Fraction:
     return natural_extension_exact(assessment, gamble)
 
 
-def vacuous_value(gamble: Gamble) -> Fraction:
-    """Infimum of a gamble, the vacuous lower prevision's value."""
-    return gamble.inf
-
-
 def decompose(assessment: Assessment) -> ExactDecomposition:
     """Write an exact assessment as norm times a coherent assessment.
 
@@ -538,22 +532,11 @@ def decompose(assessment: Assessment) -> ExactDecomposition:
     one = Gamble.constant(assessment.space, 1)
     if scale == 0:
         coherent = Assessment.of(
-            assessment.space, ((g, vacuous_value(g)) for g in assessment.domain)
+            assessment.space, ((g, g.inf) for g in assessment.domain)
         )
         return ExactDecomposition(ZERO, coherent, is_unique=False)
     coherent = assessment.scale(ONE / scale)
     return ExactDecomposition(scale, coherent, is_unique=one in assessment)
-
-
-def conjugate(assessment: Assessment) -> Assessment:
-    """The conjugate assessment: domain negated, values negated.
-
-    An involution; on a linear prevision's restriction it returns the
-    restriction to the negated domain.
-    """
-    return Assessment(
-        assessment.space, tuple((-g, -v) for g, v in assessment.entries)
-    )
 
 
 def find_attaining(

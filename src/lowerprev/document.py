@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import importlib.resources
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .assessment import Assessment
-from .choquet import ChoquetResult
 from .gambles import Event, Gamble, Space
-from .monotone import MobiusTransform
 from .rational import format_rational, parse_rational
 from .verdict import Verdict
+
+if TYPE_CHECKING:
+    from .choquet import ChoquetResult
+    from .monotone import MobiusTransform
 
 __all__ = [
     "DocumentError",
@@ -52,10 +54,7 @@ class DocumentError(ValueError):
 
 
 def _schema(name: str) -> dict:
-    text = (
-        importlib.resources.files("lowerprev").joinpath(f"schema/v1/{name}").read_text()
-    )
-    return json.loads(text)
+    return json.loads((Path(__file__).parent / "schema" / "v1" / name).read_text("utf-8"))
 
 
 def problem_schema() -> dict:

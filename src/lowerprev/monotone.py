@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable
 
-from .assessment import Assessment
-from .consistency import conjugate
+from .assessment import Assessment, conjugate
 from .errors import ClosureBudgetError, DomainError
 from .gambles import (
     Event,
@@ -261,7 +260,7 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
     _check_order(n)
     if not assessment.entries:
         return MonotonicityReport(n, n, None)  # no alternating sum of any order
-    if n == INFINITE and assessment.is_lower_probability():
+    if n == INFINITE and assessment.by_mask is not None:
         if assessment.is_full_powerset:
             violation = _certificate_scan(assessment, via_inner=False)
             return MonotonicityReport(n, INFINITE if violation is None else 0, violation)

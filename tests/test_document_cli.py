@@ -259,6 +259,18 @@ class TestCommands:
             "error": "choquet needs an assessment on events; this document assesses gambles",
         }
 
+    @pytest.mark.parametrize("command", ["nmono", "nalt"])
+    @pytest.mark.parametrize("order", ["1.5", "INF", "0", "-2", ""])
+    def test_bad_order_names_its_field(self, capsys, doc_path, command, order):
+        code = cli.main([command, doc_path("three_point_step_closure.json"), "--n", order])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out == {
+            "schema": "v1",
+            "command": command,
+            "error": f"n: order must be a positive integer or 'inf', got {order!r}",
+        }
+
     def test_determinism(self, capsys, doc_path):
         first = run(capsys, "natext", doc_path("three_point_step.json"))
         second = run(capsys, "natext", doc_path("three_point_step.json"))
