@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import SpaceMismatchError
-from .gambles import Event, Gamble, Space, _integer_view, sort_gambles
+from .gambles import Event, Gamble, Space, _integer_view, default_closure_budget, sort_gambles
 from .rational import common_denominator, parse_rational, scaled
 
 __all__ = [
@@ -137,6 +137,40 @@ class Assessment:
         if not all(g.is_indicator() for g, _ in self.entries):
             return None
         return {g.as_event().mask: v for g, v in self.entries}
+
+    @functools.cached_property
+    def inner_table(self) -> list[Fraction] | None:
+        """Entry ``mask``: the largest assessed value of a domain event inside it.
+
+        None unless the domain is events holding the empty and full ones,
+        and short of the power set unless 2^m is within the closure
+        budget.  Built once, by the subset-max transform on integers.
+        """
+        by_mask = self.by_mask
+        count = 1 << self.space.size
+        if (by_mask is None or 0 not in by_mask or count - 1 not in by_mask
+                or len(by_mask) < count and count > default_closure_budget()):
+            return None
+        values = list(by_mask.values())
+        ints = scaled(values, common_denominator(values))
+        table = [min(ints)] * count  # never above the empty event's value, inside every mask
+        for mask, v in zip(by_mask, ints):
+            table[mask] = v
+        bit = 1
+        while bit < count:
+            for mask in range(count):
+                if mask & bit and table[mask ^ bit] > table[mask]:
+                    table[mask] = table[mask ^ bit]
+            bit <<= 1
+        fraction_of = dict(zip(ints, values))  # every entry is an assessed value
+        return [fraction_of[v] for v in table]
+
+    @functools.cached_property
+    def inner_agrees(self) -> bool:
+        """Whether :attr:`inner_table` exists and equals the assessment on its
+        domain, that is whether the set function is monotone there."""
+        table = self.inner_table
+        return table is not None and all(table[mask] == v for mask, v in self.by_mask.items())
 
     @functools.cached_property
     def lattice(self) -> LatticeTables | None:

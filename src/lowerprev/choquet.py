@@ -92,19 +92,16 @@ class ChoquetResult:
         return total
 
 
-def _monotone_set_function(assessment: Assessment) -> dict[int, Fraction]:
-    """The mask table of a monotone set function on the full power set."""
-    by_mask = assessment.by_mask
-    if by_mask is None:
+def _monotone_set_function(assessment: Assessment) -> list[Fraction]:
+    """The mask table of a monotone set function on the full power set:
+    one that equals its inner table, a check cached per assessment."""
+    if assessment.by_mask is None:
         raise DomainError("Choquet integration needs a set function on events")
     if not assessment.is_full_powerset:
         raise DomainError("the set function must be defined on all events")
-    size = assessment.space.size
-    for mask in range(1 << size):
-        for i in range(size):
-            if not mask >> i & 1 and by_mask[mask] > by_mask[mask | 1 << i]:
-                raise DomainError("the set function must be monotone")
-    return by_mask
+    if not assessment.inner_agrees:
+        raise DomainError("the set function must be monotone")
+    return assessment.inner_table
 
 
 def decreasing_distribution(assessment: Assessment, f: Gamble) -> DecreasingDistribution:
@@ -116,24 +113,20 @@ def decreasing_distribution(assessment: Assessment, f: Gamble) -> DecreasingDist
     >>> decreasing_distribution(unit, Gamble.make(s, [0, 1])).steps
     ((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1)))
     """
-    by_mask = _monotone_set_function(assessment)
-    steps = []
-    for v in sorted(set(f.values)):
-        level_set = f.level_set(v)
-        steps.append((v, by_mask[level_set.mask]))
-    return DecreasingDistribution(tuple(steps))
+    _, rows = _telescope(_monotone_set_function(assessment), f.values)
+    return DecreasingDistribution(tuple([(v, level) for v, _, level in rows]))
 
 
-def _telescope(by_mask: dict[int, Fraction], values: tuple[Fraction, ...]):
-    """The telescoping sum of a gamble's values against a mask table.
+def _telescope(by_mask: list[Fraction], values: tuple[Fraction, ...]):
+    """The telescoping sum of a gamble's values against a mask-indexed table.
 
     Returns the total and one row ``(threshold, level mask, level)`` per
     distinct value in ascending order, where the level mask is the event
     ``{f >= threshold}``.  The thresholds are compared and differenced
     as integers over their common denominator, which divides the total
     once at the end.  The one Choquet sum of the library: it serves
-    :func:`choquet_integral` and the certified route of the consistency
-    module alike.
+    :func:`choquet_integral`, :func:`decreasing_distribution` and the
+    certified route of the consistency module alike.
     """
     scale = common_denominator(values)
     ints = scaled(values, scale)

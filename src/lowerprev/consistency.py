@@ -12,19 +12,17 @@ assessment:
 * it is exact iff it is a nonnegative multiple of a coherent
   assessment, and its norm is the least such multiple.
 
-Two routes answer them.  A set function on a lattice of events that
-holds the empty and full events, assesses the empty event at zero and
-is 2-monotone is exact with norm ``P(full)``, and its natural extension
-at that total is the Choquet integral of its inner set function (de
-Cooman, Troffaes & Miranda 2008; Denneberg 1994, ch. 6).  Such an
-assessment is certified once and cached: on the full power set by the
-local test of monotonicity and supermodularity on neighbouring events
-(Topkis 1998, ch. 2), on a smaller lattice by the order-two scan.  The
-certificate decides ``norm``, ``is_exact`` and ``decompose``, a
-positive ``is_coherent`` when ``P(full) = 1``, and the natural
-extensions at total ``P(full)`` without a program.  Every other
-question, and every negative verdict with its witness, reduces to
-exact-rational linear programs.
+Two routes answer them.  An event assessment whose inner table
+(``Assessment.inner_table``) is zero at the empty event, agrees with it
+on its domain and is 2-monotone by the local test on neighbouring
+events (Topkis 1998, ch. 2) is exact with norm ``P(full)``, and its
+natural extension at that total is the table's Choquet integral (de
+Cooman, Troffaes & Miranda 2008; Denneberg 1994, ch. 6).  This
+certificate, one path for every event domain, decides ``norm``,
+``is_exact`` and ``decompose``, a positive ``is_coherent`` when
+``P(full) = 1``, and the natural extensions at total ``P(full)``
+without a program.  Every other question, and every negative verdict
+with its witness, reduces to exact-rational linear programs.
 
 On the program route the norm is computed by interval intersection:
 for every domain gamble ``f0`` the achievable total masses of
@@ -237,8 +235,8 @@ def _dual_program(
     return outcome, offset - outcome.value
 
 
-def _locally_two_monotone(by_mask: dict[int, Fraction], size: int) -> bool:
-    """Monotone and supermodular, by the local test on the full power set.
+def _locally_two_monotone(table: list[Fraction]) -> bool:
+    """Monotone and supermodular, by the local test on a mask-indexed table.
 
     ``P(A | i) >= P(A)`` and ``P(A | i | j) + P(A) >= P(A | i) + P(A | j)``
     for every event A and outcomes i < j outside it, on values scaled to
@@ -247,10 +245,9 @@ def _locally_two_monotone(by_mask: dict[int, Fraction], size: int) -> bool:
     1998, ch. 2), which on a lattice are orders one and two of
     n-monotonicity.
     """
-    count = 1 << size
-    values = [by_mask[mask] for mask in range(count)]
-    v = scaled(values, common_denominator(values))
-    bits = [1 << i for i in range(size)]
+    count = len(table)
+    v = scaled(table, common_denominator(table))
+    bits = [1 << i for i in range(count.bit_length() - 1)]
     for mask in range(count):
         low = v[mask]
         free = [b for b in bits if not mask & b]
@@ -264,46 +261,24 @@ def _locally_two_monotone(by_mask: dict[int, Fraction], size: int) -> bool:
     return True
 
 
-def _choquet_certificate(assessment: Assessment) -> dict[int, Fraction] | None:
-    """The power-set mask table whose Choquet integral is the natural extension.
-
-    Returned when the domain is a lattice of events holding the empty
-    and full events, the empty event is assessed at zero and the
-    assessment is 2-monotone: such an assessment is exact with norm
-    ``P(full)``, and its natural extension at that total is the Choquet
-    integral of its inner set function (de Cooman, Troffaes & Miranda
-    2008; Denneberg 1994, ch. 6).  The table is ``by_mask`` itself on a
-    full power set and the inner set function's otherwise.  None for
-    every other assessment, and before any cache lookup when the domain
-    holds a gamble that is not an indicator.
-    """
-    if assessment.by_mask is None:
-        return None
-    return _certified_table(assessment)
-
-
 @functools.lru_cache(maxsize=1)
-def _certified_table(assessment: Assessment) -> dict[int, Fraction] | None:
-    """Cached body of :func:`_choquet_certificate`, like :func:`_norm_analysis`."""
-    by_mask = assessment.by_mask
-    size = assessment.space.size
-    if by_mask.get(0) != 0 or (1 << size) - 1 not in by_mask:
+def _certified_table(assessment: Assessment) -> list[Fraction] | None:
+    """The inner table, when it is zero at the empty event, agrees with the
+    assessment on its domain and is locally 2-monotone; else None, and the
+    programs decide (as for a domain with no table over the closure budget).
+
+    A mass dominates the assessment iff it dominates that table, since
+    it lifts ``P(B)`` to every superset of B, so both share one natural
+    extension: the table's Choquet integral at total ``P(full)``.
+    Cached, like :func:`_norm_analysis`.
+    """
+    table = assessment.inner_table
+    if table is None or table[0] != 0 or not assessment.inner_agrees:
         return None
-    if assessment.is_full_powerset:
-        return by_mask if _locally_two_monotone(by_mask, size) else None
-    from .monotone import is_n_monotone, powerset_inner  # loaded on demand: sublattices only
-
-    if assessment.lattice is None or not is_n_monotone(assessment, 2).holds:
-        return None
-    return powerset_inner(assessment).by_mask
+    return table if _locally_two_monotone(table) else None
 
 
-def _full_value(table: dict[int, Fraction]) -> Fraction:
-    """``P(full)`` from a power-set mask table, whose largest mask is the full event."""
-    return table[len(table) - 1]
-
-
-def _choquet_value(table: dict[int, Fraction], gamble: Gamble) -> Fraction:
+def _choquet_value(table: list[Fraction], gamble: Gamble) -> Fraction:
     from .choquet import _telescope  # loaded on demand: only certified tables need it
 
     return _telescope(table, gamble.values)[0]
@@ -346,7 +321,7 @@ def natural_extension_prevision(assessment: Assessment, gamble: Gamble) -> Fract
     One linear program: minimize the mass value of ``gamble`` over all
     probability masses dominating the assessment on its domain.  A
     certified 2-monotone event assessment (see
-    :func:`_choquet_certificate`) needs none: at ``P(full) = 1`` the value
+    :func:`_certified_table`) needs none: at ``P(full) = 1`` the value
     is the Choquet integral, and above one no probability dominates.
 
     >>> from .gambles import Space
@@ -356,10 +331,10 @@ def natural_extension_prevision(assessment: Assessment, gamble: Gamble) -> Fract
     >>> natural_extension_prevision(p, Gamble.make(s, [1, 1, 2]))
     Fraction(1, 1)
     """
-    table = _choquet_certificate(assessment)
-    if table is None or _full_value(table) < 1:
+    table = _certified_table(assessment)
+    if table is None or table[-1] < 1:
         _, value = _dual_program(assessment, gamble.values, ONE)
-    elif _full_value(table) == 1:
+    elif table[-1] == 1:
         return _choquet_value(table, gamble)
     else:
         value = None  # the full event above one: no probability dominates
@@ -372,11 +347,11 @@ def is_coherent(assessment: Assessment) -> Verdict:
     """Does the assessment coincide with its natural extension on its domain?
 
     A certified 2-monotone event assessment (see
-    :func:`_choquet_certificate`) with the full event at one is coherent
+    :func:`_certified_table`) with the full event at one is coherent
     without a program; every negative verdict comes from the programs.
     """
-    table = _choquet_certificate(assessment)
-    if table is not None and _full_value(table) == 1:
+    table = _certified_table(assessment)
+    if table is not None and table[-1] == 1:
         return Verdict(True)
     asl = avoids_sure_loss(assessment)
     if not asl:
@@ -418,9 +393,9 @@ def _norm_analysis(assessment: Assessment):
     (with its index and mask table) alive.  A certified 2-monotone event
     assessment is exact with norm ``P(full)`` and needs no program.
     """
-    table = _choquet_certificate(assessment)
+    table = _certified_table(assessment)
     if table is not None:
-        return "exact", _full_value(table)
+        return "exact", table[-1]
     best_low: tuple[Fraction, Gamble] | None = None
     best_high: tuple[Fraction | float, Gamble] | None = None
     for gamble, value in assessment.entries:
@@ -457,7 +432,7 @@ def is_exact(assessment: Assessment) -> Verdict:
 
     Equivalent to the norm being finite.  A positive verdict carries the
     norm in ``info``.  A certified 2-monotone event assessment (see
-    :func:`_choquet_certificate`) is exact with norm ``P(full)`` without
+    :func:`_certified_table`) is exact with norm ``P(full)`` without
     a program; every other assessment, and every negative verdict with
     its witness, goes through the norm programs.
     """
@@ -477,8 +452,8 @@ def extension_minimum(assessment: Assessment, gamble: Gamble, total: Fraction) -
     total ``P(full)`` of a certified 2-monotone event assessment the
     minimum is the Choquet integral, found without a program.
     """
-    table = _choquet_certificate(assessment)
-    if table is not None and total == _full_value(table):
+    table = _certified_table(assessment)
+    if table is not None and total == table[-1]:
         return _choquet_value(table, gamble)
     _, value = _dual_program(assessment, gamble.values, total)
     if value is None:

@@ -187,10 +187,6 @@ class Gamble:
             raise ValueError(f"not a 0/1 gamble: {self.values}")
         return Event(self.space, frozenset(i for i, v in enumerate(self.values) if v == 1))
 
-    def level_set(self, threshold: Fraction) -> "Event":
-        """The event on which the gamble pays at least ``threshold``."""
-        return Event(self.space, frozenset(i for i, v in enumerate(self.values) if v >= threshold))
-
 
 @dataclass(frozen=True)
 class Event:

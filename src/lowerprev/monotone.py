@@ -34,8 +34,8 @@ coefficient at an event A converts back into an explicit violating
 tuple, namely A as base with the one-element-deleted subsets of A as
 companions, whose alternating sum is exactly that coefficient.  Event
 lattices below the full power set are first extended by their inner
-set function, which preserves n-monotonicity in both directions on the
-original domain.
+set function (``Assessment.inner_table``), which preserves
+n-monotonicity in both directions on the original domain.
 
 Violations are reported lexicographically first under the domain
 ordering (ascending value vectors), so fixtures are deterministic.
@@ -123,11 +123,12 @@ class MonotonicityViolation:
     def check(self, assessment: Assessment) -> bool:
         """The recomputed alternating sum equals ``total`` and has the wrong sign.
 
-        False when a term of the sum lies outside the assessed domain.
+        False when a term of the sum lies outside the assessed domain or,
+        for ``via_inner``, the inner set function is undefined there.
         """
         try:
             total = revalidate_violation(assessment, self)
-        except KeyError:
+        except (KeyError, ValueError):  # ValueError: no inner set function, or no event
             return False
         return total == self.total and (total > 0 if self.alternating else total < 0)
 
@@ -212,11 +213,11 @@ def _alternating_scan(
     return None
 
 
-def _certificate_scan(assessment: Assessment, via_inner: bool) -> MonotonicityViolation | None:
-    """Complete-monotonicity certificate on a full power-set set function."""
-    for mask, coefficient in mobius(assessment).coefficients:
+def _certificate_scan(space: Space, coefficients, via_inner: bool) -> MonotonicityViolation | None:
+    """The first negative (mask, coefficient) of a nonempty event, as its violating tuple."""
+    for mask, coefficient in coefficients:
         if mask and coefficient < 0:
-            event = Event.from_mask(assessment.space, mask)
+            event = Event.from_mask(space, mask)
             companions = tuple(
                 Event(event.space, event.members - {w}).indicator()
                 for w in sorted(event.members)
@@ -262,7 +263,7 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
         return MonotonicityReport(n, n, None)  # no alternating sum of any order
     if n == INFINITE and assessment.by_mask is not None:
         if assessment.is_full_powerset:
-            violation = _certificate_scan(assessment, via_inner=False)
+            violation = _certificate_scan(assessment.space, mobius(assessment).coefficients, False)
             return MonotonicityReport(n, INFINITE if violation is None else 0, violation)
         masks = assessment.by_mask
         full = (1 << assessment.space.size) - 1
@@ -272,7 +273,9 @@ def is_n_monotone(assessment: Assessment, n: int | float) -> MonotonicityReport:
             violation = _alternating_scan(assessment, 1, alternating=False)
             if violation is not None:
                 return MonotonicityReport(n, 0, violation)
-            violation = _certificate_scan(powerset_inner(assessment), via_inner=True)
+            count = assessment.space.budgeted_event_count()  # the table exists within it
+            coefficients = _mobius_coefficients(assessment.inner_table, count)
+            violation = _certificate_scan(assessment.space, enumerate(coefficients), via_inner=True)
             return MonotonicityReport(n, INFINITE if violation is None else 1, violation)
     cap = len(assessment) - 1 if n == INFINITE else int(n)
     budget = default_closure_budget() if n == INFINITE else None
@@ -306,12 +309,12 @@ def revalidate_violation(assessment: Assessment, violation: MonotonicityViolatio
 
     Used by witness verification: the returned value must equal the
     reported total exactly.  Witnesses flagged ``via_inner`` are
-    recomputed against the inner set function instead; for alternation
-    checks that means the conjugate assessment's inner set function.
+    recomputed term by term by :func:`inner_set_function`, not from the
+    table the certificate read; for alternation checks that means the
+    conjugate assessment's inner set function.
     """
     if violation.via_inner and violation.alternating:
         return -revalidate_violation(conjugate(assessment), violation.conjugate())
-    source = powerset_inner(assessment) if violation.via_inner else assessment
     combine_op = join if violation.alternating else meet
     p = violation.order
     total = ZERO
@@ -322,7 +325,9 @@ def revalidate_violation(assessment: Assessment, violation: MonotonicityViolatio
             if bits >> k & 1:
                 acc = combine_op(acc, violation.companions[k])
                 sign = -sign
-        total += source.value(acc) if sign > 0 else -source.value(acc)
+        term = (inner_set_function(assessment, acc.as_event()) if violation.via_inner
+                else assessment.value(acc))
+        total += term if sign > 0 else -term
     return total
 
 
@@ -341,22 +346,27 @@ def inner_set_function(assessment: Assessment, event: Event) -> Fraction:
     >>> inner_set_function(lp, Event.from_labels(s, ["a", "c"]))
     Fraction(1, 4)
     """
+    masks = _inner_domain(assessment)
+    target = event.mask
+    return max(v for m, v in masks.items() if m & target == m)
+
+
+def _inner_domain(assessment: Assessment) -> dict[int, Fraction]:
     masks = assessment.by_mask
     if masks is None:
         raise DomainError("inner set function needs an assessment on events")
     full = (1 << assessment.space.size) - 1
     if 0 not in masks or full not in masks:
         raise DomainError("inner set function needs the empty and full events assessed")
-    target = event.mask
-    return max(v for m, v in masks.items() if m & target == m)
+    return masks
 
 
 def powerset_inner(assessment: Assessment) -> Assessment:
-    """The inner set function tabulated on the full power set."""
-    return Assessment.on_events(
-        assessment.space,
-        ((e, inner_set_function(assessment, e)) for e in assessment.space.all_events()),
-    )
+    """The inner set function tabulated on the full power set, from
+    ``Assessment.inner_table``, after the closure budget is checked."""
+    events = assessment.space.all_events()
+    _inner_domain(assessment)
+    return Assessment.on_events(assessment.space, zip(events, assessment.inner_table))
 
 
 def inner_extension(assessment: Assessment, gamble: Gamble) -> Fraction:
@@ -411,15 +421,20 @@ def mobius(assessment: Assessment) -> MobiusTransform:
     if not assessment.is_full_powerset:
         raise DomainError("inversion needs the set function on the full power set")
     count = assessment.space.budgeted_event_count()
-    by_mask = assessment.by_mask
-    coefficients = [by_mask[mask] for mask in range(count)]
+    coefficients = _mobius_coefficients(assessment.by_mask, count)
+    return MobiusTransform(assessment.space, tuple(enumerate(coefficients)))
+
+
+def _mobius_coefficients(table, count: int) -> list[Fraction]:
+    """The fast transform of a table indexed by the masks of all ``count`` events."""
+    coefficients = [table[mask] for mask in range(count)]
     bit = 1
     while bit < count:
         for mask in range(count):
             if mask & bit:
                 coefficients[mask] -= coefficients[mask ^ bit]
         bit <<= 1
-    return MobiusTransform(assessment.space, tuple(enumerate(coefficients)))
+    return coefficients
 
 
 def is_completely_monotone(assessment: Assessment) -> Verdict:
@@ -435,7 +450,7 @@ def is_completely_monotone(assessment: Assessment) -> Verdict:
     empty = Gamble.constant(assessment.space, 0)
     if assessment.value(empty) != 0:
         raise DomainError("the empty event must be assessed at zero")
-    violation = _certificate_scan(assessment, via_inner=False)
+    violation = _certificate_scan(assessment.space, mobius(assessment).coefficients, False)
     if violation is None:
         return Verdict(True)
     return Verdict(

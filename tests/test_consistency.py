@@ -4,14 +4,12 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lowerprev
 from lowerprev import (
     Assessment,
     DomainError,
@@ -27,6 +25,7 @@ from lowerprev import (
     conjugate,
     decompose,
     find_attaining,
+    inner_set_function,
     is_coherent,
     is_comonotone_additive,
     is_exact,
@@ -41,7 +40,7 @@ from lowerprev import consistency
 from lowerprev.consistency import (
     CoherenceGap,
     UnattainableGamble,
-    _choquet_certificate,
+    _certified_table,
     _locally_two_monotone,
     extension_minimum,
 )
@@ -241,7 +240,7 @@ class TestNorm:
 
 class TestIsExact:
     def test_two_monotone_events(self, step_event_assessment):
-        assert _choquet_certificate(step_event_assessment) is not None
+        assert _certified_table(step_event_assessment) is not None
         verdict = is_exact(step_event_assessment)
         assert verdict == Verdict(True, info={"norm": F(1)})
         assert lp_norm_analysis(step_event_assessment) == ("exact", F(1))
@@ -249,7 +248,7 @@ class TestIsExact:
     def test_nonzero_empty_event(self, abc):
         entries = {e: F(1, 10) if e.size == 0 else F(e.size, 3) for e in abc.all_events()}
         p = Assessment.on_events(abc, entries)
-        assert _choquet_certificate(p) is None
+        assert _certified_table(p) is None
         verdict = is_exact(p)
         kind, witness = lp_norm_analysis(p)
         assert not verdict.holds and kind == "unattainable"
@@ -327,7 +326,7 @@ def programs_only():
     """Every call on the linear programs: the certificate switched off and
     the norm cache emptied on the way in and out."""
     consistency._norm_analysis.cache_clear()
-    with mock.patch.object(consistency, "_choquet_certificate", lambda assessment: None):
+    with mock.patch.object(consistency, "_certified_table", lambda assessment: None):
         yield
     consistency._norm_analysis.cache_clear()
 
@@ -348,7 +347,7 @@ class TestExactnessRoutes:
         exact = kind == "exact"
         expected = Verdict(True, info={"norm": payload}) if exact else Verdict(False, payload)
         assert is_exact(p) == expected
-        if _choquet_certificate(p) is not None:
+        if _certified_table(p) is not None:
             assert exact and payload == p.value(Gamble.constant(p.space, 1))
 
     def test_shortcut_decides_two_monotone_lattices(self):
@@ -364,7 +363,7 @@ class TestExactnessRoutes:
                 if rng.random() < 0.5:
                     events = random_event_lattice(rng, space, rng.randint(1, 3))
                 p = Assessment.on_events(space, ((e, values[e.mask] + shift) for e in events))
-                assert (_choquet_certificate(p) is not None) == (shift == 0)
+                assert (_certified_table(p) is not None) == (shift == 0)
                 assert is_exact(p).holds == (shift == 0)
 
 
@@ -421,32 +420,110 @@ class TestChoquetRoute:
         for m in range(1, 6):
             space = Space(tuple("abcde"[:m]))
             for index in range(24 if m < 5 else 8):
-                family = index % 4
-                if family == 0:
-                    # supermodular; a modular part subtracted may break monotonicity
-                    weight = F(rng.randint(0, 3), 4)
-                    values = random_floor_additive(rng, space).by_mask
-                    p = Assessment.on_events(space, (
-                        (e, values[e.mask] - weight * e.size) for e in space.all_events()
-                    ))
-                elif family == 1:
-                    p = random_completely_monotone(rng, space)
-                elif family == 2:
-                    envelope = random_envelope(rng, space, rng.randint(1, 3))
-                    p = envelope.restrict([e.indicator() for e in space.all_events()])
-                else:
-                    low = rng.choice([-2, 0])
-                    p = Assessment.on_events(space, (
-                        (e, F(rng.randint(low, 6), rng.choice([1, 2, 3])) if e.mask else F(0))
-                        for e in space.all_events()
-                    ))
-                local = _locally_two_monotone(p.by_mask, m)
+                p = certificate_family(rng, space, index % 4)
+                local = _locally_two_monotone([p.by_mask[mask] for mask in range(1 << m)])
                 assert local == is_n_monotone(p, 2).holds
                 if m <= 4 or index < 2:
                     assert local == ordered_scan(p, 2).holds
-                assert (_choquet_certificate(p) is not None) == local
+                assert (_certified_table(p) is not None) == local
                 agreed[local] += 1
         assert min(agreed.values()) >= 20
+
+    def test_certificate_matches_the_scans_on_sublattices(self):
+        # the inner table of a lattice holding the empty and full events is
+        # 2-monotone iff the assessment is, on the lattice
+        rng = random.Random(2009)
+        agreed = {True: 0, False: 0}
+        for m in range(2, 6):
+            space = Space(tuple("abcde"[:m]))
+            for index in range(24 if m < 5 else 8):
+                values = certificate_family(rng, space, index % 4).by_mask
+                lattice = random_event_lattice(rng, space, rng.randint(1, 3))
+                p = Assessment.on_events(space, ((e, values[e.mask]) for e in lattice))
+                certified = _certified_table(p) is not None
+                assert certified == is_n_monotone(p, 2).holds
+                if len(p) <= 12:
+                    assert certified == ordered_scan(p, 2).holds
+                if certified:
+                    assert _certified_table(p) == [
+                        inner_set_function(p, e) for e in space.all_events()
+                    ]
+                agreed[certified] += 1
+        assert min(agreed.values()) >= 15
+
+    def test_certificate_matches_the_programs_off_lattices(self):
+        # event domains holding the empty and full events but not closed
+        # under union and intersection: only the inner table is certified
+        rng = random.Random(2010)
+        agreed = {True: 0, False: 0}
+        for m in (3, 4):  # on two outcomes every such domain is a lattice
+            space = Space(tuple("abcd"[:m]))
+            full = (1 << m) - 1
+            while min(agreed.values()) < 5 * (m - 2):
+                values = certificate_family(rng, space, rng.randrange(4)).by_mask
+                masks = {0, full} | {k for k in values if rng.random() < 0.4}
+                p = Assessment.on_events(space, (
+                    (e, values[e.mask]) for e in space.all_events() if e.mask in masks
+                ))
+                if p.lattice is not None:
+                    continue
+                certified = _certified_table(p) is not None
+                assert is_coherent(p) == lp_is_coherent(p)
+                kind, payload = lp_norm_analysis(p)
+                assert norm(p) == (payload if kind == "exact" else INF)
+                if certified:
+                    assert (kind, payload) == ("exact", values[full])
+                    for g in (random_gamble(rng, space), Gamble.constant(space, 1)):
+                        assert extension_minimum(p, g, payload) == lp_extension(p, g, payload)
+                        if payload == 1:
+                            assert natural_extension_prevision(p, g) == lp_extension(p, g, F(1))
+                agreed[certified] += 1
+
+
+def certificate_family(rng: random.Random, space: Space, family: int) -> Assessment:
+    """A set function on the full power set, zero at the empty event: a
+    supermodular one less a modular part, which may break monotonicity;
+    completely monotone; a lower envelope; or arbitrary values."""
+    if family == 0:
+        weight = F(rng.randint(0, 3), 4)
+        values = random_floor_additive(rng, space).by_mask
+        return Assessment.on_events(space, (
+            (e, values[e.mask] - weight * e.size) for e in space.all_events()
+        ))
+    if family == 1:
+        return random_completely_monotone(rng, space)
+    if family == 2:
+        envelope = random_envelope(rng, space, rng.randint(1, 3))
+        return envelope.restrict([e.indicator() for e in space.all_events()])
+    low = rng.choice([-2, 0])
+    return Assessment.on_events(space, (
+        (e, F(rng.randint(low, 6), rng.choice([1, 2, 3])) if e.mask else F(0))
+        for e in space.all_events()
+    ))
+
+
+class TestCertificateBudget:
+    """Over the closure budget the certificate declines and the programs answer."""
+
+    def test_chain_over_budget_is_answered_by_the_programs(self, abc, monkeypatch):
+        chain = [Event.empty(abc), Event.from_labels(abc, ["a"]), Event.full(abc)]
+        powerset = Assessment.on_events(abc, ((e, F(e.size, 3)) for e in abc.all_events()))
+        g = Gamble.make(abc, [2, 0, 1])
+        monkeypatch.setenv("LOWERPREV_LATTICE_BUDGET", "7")
+        consistency._certified_table.cache_clear()
+        consistency._norm_analysis.cache_clear()
+        p = Assessment.on_events(abc, zip(chain, (F(0), F(1, 4), F(1))))
+        assert _certified_table(p) is None
+        assert is_coherent(p) == lp_is_coherent(p) == Verdict(True)
+        assert lp_norm_analysis(p) == ("exact", F(1))
+        assert norm(p) == 1
+        assert is_exact(p) == Verdict(True, info={"norm": F(1)})
+        assert decompose(p).scale == 1
+        assert natural_extension_prevision(p, g) == lp_extension(p, g, F(1)) == F(1, 2)
+        assert extension_minimum(p, g, F(1)) == F(1, 2)
+        assert _certified_table(powerset) is not None  # a full power set is its own table
+        consistency._certified_table.cache_clear()
+        consistency._norm_analysis.cache_clear()
 
 
 class TestNaturalExtensionExact:
@@ -641,7 +718,7 @@ class TestExtensionMinimum:
             with pytest.raises(InfeasibleTotalError):
                 extension_minimum(step_assessment, Gamble.constant(abc, 0), total)
 
-    def test_typed_error_survives_optimisation(self):
+    def test_typed_error_survives_optimisation(self, src_env):
         # `python -O` strips assert statements; the refusal must not be one
         script = (
             "from fractions import Fraction as F\n"
@@ -654,13 +731,12 @@ class TestExtensionMinimum:
             "except InfeasibleTotalError:\n"
             "    print('refused', __debug__)\n"
         )
-        src = str(Path(lowerprev.__file__).resolve().parent.parent)
         done = subprocess.run(
             [sys.executable, "-O", "-c", script],
             capture_output=True,
             text=True,
             timeout=60,
-            env={"PYTHONPATH": src},
+            env=src_env,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "refused False"

@@ -84,6 +84,23 @@ def test_command_loads_only_its_layers(src_env, command, fixtures, absent):
     assert not loaded & absent, sorted(loaded & absent)
 
 
+def test_sublattice_certificate_loads_no_monotone(src_env, tmp_path):
+    # a chain of events short of the power set, certified on its inner table
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "space": ["a", "b", "c"],
+        "assessment": [
+            {"event": [], "lower": "0"},
+            {"event": ["a"], "lower": "1/4"},
+            {"event": ["a", "b", "c"], "lower": "1"},
+        ],
+        "queries": [{"gamble": ["2", "0", "1"]}],
+    }))
+    for command in ("check-coherent", "norm", "natext"):
+        loaded = set(_child(src_env, "-c", _CLI_RUNS, command, str(chain)).split())
+        assert "consistency" in loaded and "monotone" not in loaded, (command, sorted(loaded))
+
+
 def test_every_public_name_resolves_to_its_home_object(src_env):
     script = """\
 import importlib, lowerprev as lp

@@ -193,6 +193,21 @@ class TestInnerSetFunction:
             for n in (2, 3):
                 assert is_n_monotone(extended, n).holds
 
+    def test_powerset_table_equals_the_definition(self):
+        rng = random.Random(73)
+        for m in range(1, 7):
+            space = Space(tuple("abcdef"[:m]))
+            for _ in range(6):
+                lattice = random_event_lattice(rng, space, rng.randint(0, 3))
+                values = {e.mask: F(rng.randint(-3, 6), rng.choice([1, 2, 3])) for e in lattice}
+                restricted = Assessment.on_events(space, ((e, values[e.mask]) for e in lattice))
+                extended = powerset_inner(restricted)
+                assert len(extended) == 1 << m
+                for event in space.all_events():
+                    assert extended.value(event.indicator()) == inner_set_function(
+                        restricted, event
+                    )
+
     def test_agrees_with_natural_extension_on_events(self, abc):
         rng = random.Random(71)
         for _ in range(4):

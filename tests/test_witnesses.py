@@ -10,6 +10,7 @@ when a gamble field is replaced by one outside the subject's domain.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from lowerprev import (
     Space,
     avoids_sure_loss,
     check_wedge_homomorphism,
+    conjugate,
     is_coherent,
     is_comonotone_additive,
     is_exact,
@@ -208,3 +210,29 @@ def test_violation_sum_keeps_report_name():
     witness, _, _, _ = monotonicity_violation()
     encoded = to_json(witness)
     assert encoded["sum"] == "-1/2" and "total" not in encoded
+
+
+def via_inner_violation() -> tuple:
+    """A completely-monotone violation read off the inner set function of a
+    sub-power-set event lattice, and the lattice's events and values."""
+    lattice = [frozenset(), {"a", "b"}, {"b", "c"}, {"b"}, {"a", "b", "c"}]
+    values = [0, F(1, 2), F(1, 2), 0, F(1, 2)]
+    events = [Event.from_labels(ABC, e) for e in lattice]
+    p = Assessment.on_events(ABC, zip(events, values))
+    witness = is_n_alternating(conjugate(p), math.inf).violation
+    assert witness.via_inner and witness.alternating
+    assert witness.check(conjugate(p)) is True
+    return witness, events, values
+
+
+def test_via_inner_witness_is_false_without_the_empty_event():
+    witness, events, values = via_inner_violation()
+    shorter = Assessment.on_events(ABC, zip(events[1:], values[1:]))
+    assert witness.check(conjugate(shorter)) is False
+    assert witness.conjugate().check(shorter) is False
+
+
+def test_via_inner_witness_is_false_on_a_gamble_assessment():
+    witness, _, _ = via_inner_violation()
+    assert witness.check(step_closure()) is False
+    assert witness.conjugate().check(step_closure()) is False
