@@ -9,9 +9,10 @@ by substitution.
 Names load on first use (PEP 562): ``import lowerprev`` loads no
 submodule, and ``lowerprev.<name>`` imports the name's home module in
 ``_HOMES`` with what that module imports.
-Module loads: ``consistency`` imports ``simplex``; ``monotone``,
-``choquet`` and ``consistency`` import one another only inside the
-functions that call across; all import ``assessment`` and ``gambles``.
+Module loads: ``consistency`` imports ``simplex`` and never ``choquet``
+or ``monotone``; ``choquet`` imports ``consistency`` only inside the two
+functions that value comonotone sums; the library modules import
+``assessment`` and ``gambles``.
 """
 
 import importlib

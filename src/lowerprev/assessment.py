@@ -218,6 +218,31 @@ class Assessment:
         return Assessment(self.space, tuple((g, factor * v) for g, v in self.entries))
 
 
+def _telescope(by_mask: list[Fraction], values: tuple[Fraction, ...]):
+    """The telescoping sum of a gamble's values against a mask-indexed table.
+
+    Returns the total and one row ``(threshold, level mask, level)`` per
+    distinct value in ascending order, where the level mask is the event
+    ``{f >= threshold}``.  The thresholds are compared and differenced
+    as integers over their common denominator, which divides the total
+    once at the end.  The one Choquet sum of the library, against
+    :attr:`Assessment.inner_table` in ``consistency`` and ``choquet``.
+    """
+    scale = common_denominator(values)
+    ints = scaled(values, scale)
+    threshold = dict(zip(ints, values))
+    total = Fraction(0)
+    rows = []
+    previous = 0  # the first step is level(full) * inf f
+    for v in sorted(threshold):
+        mask = sum([1 << i for i, x in enumerate(ints) if x >= v])
+        level = by_mask[mask]
+        total += (v - previous) * level
+        rows.append((threshold[v], mask, level))
+        previous = v
+    return total / scale, rows
+
+
 def conjugate(assessment: Assessment) -> Assessment:
     """The conjugate assessment: domain negated, values negated.
 
@@ -283,7 +308,8 @@ class MassFunctional:
 
     def check(self, assessment: Assessment) -> bool:
         """A probability mass (total one) dominating the assessment."""
-        return self.total_mass == 1 and self.dominates(assessment)
+        same_space = assessment.space == self.space
+        return same_space and self.total_mass == 1 and self.dominates(assessment)
 
     def event_value(self, event: Event) -> Fraction:
         return sum((self.masses[i] for i in event.members), Fraction(0))

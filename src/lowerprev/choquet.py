@@ -16,6 +16,10 @@ extension, and for exact functionals on linear lattices of gambles
 containing the constants, comonotone additivity characterizes
 2-monotonicity; both bridges are exercised by the test suite on
 finite sub-lattice samples whose structure forces the verdicts.
+
+The sum itself, ``assessment._telescope``, lives beside the inner table
+it reads, where ``consistency`` also takes it without importing this
+module; sums off a domain are valued by ``consistency.exact_value``.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .assessment import Assessment
-from .errors import DomainError
+from .assessment import Assessment, _telescope
+from .errors import DomainError, NotExactError
 from .gambles import Event, Gamble, is_comonotone
-from .rational import common_denominator, scaled
 from .verdict import Verdict
 
 __all__ = [
@@ -39,9 +42,6 @@ __all__ = [
     "choquet_integral",
     "is_comonotone_additive",
 ]
-
-ZERO = Fraction(0)
-INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -117,32 +117,6 @@ def decreasing_distribution(assessment: Assessment, f: Gamble) -> DecreasingDist
     return DecreasingDistribution(tuple([(v, level) for v, _, level in rows]))
 
 
-def _telescope(by_mask: list[Fraction], values: tuple[Fraction, ...]):
-    """The telescoping sum of a gamble's values against a mask-indexed table.
-
-    Returns the total and one row ``(threshold, level mask, level)`` per
-    distinct value in ascending order, where the level mask is the event
-    ``{f >= threshold}``.  The thresholds are compared and differenced
-    as integers over their common denominator, which divides the total
-    once at the end.  The one Choquet sum of the library: it serves
-    :func:`choquet_integral`, :func:`decreasing_distribution` and the
-    certified route of the consistency module alike.
-    """
-    scale = common_denominator(values)
-    ints = scaled(values, scale)
-    threshold = dict(zip(ints, values))
-    total = ZERO
-    rows = []
-    previous = 0  # the first step is level(full) * inf f
-    for v in sorted(threshold):
-        mask = sum([1 << i for i, x in enumerate(ints) if x >= v])
-        level = by_mask[mask]
-        total += (v - previous) * level
-        rows.append((threshold[v], mask, level))
-        previous = v
-    return total / scale, rows
-
-
 def choquet_integral(assessment: Assessment, f: Gamble) -> ChoquetResult:
     """The exact telescoping sum of the decreasing distribution.
 
@@ -172,11 +146,15 @@ class AdditivityGap:
     via_extension: bool
 
     def check(self, assessment: Assessment) -> bool:
+        # loaded on demand: start-up of the choquet command never loads the programs
         from .consistency import exact_value
 
         if self.f not in assessment or self.g not in assessment:
             return False
-        sum_value = exact_value(assessment, self.f + self.g)
+        try:
+            sum_value = exact_value(assessment, self.f + self.g)
+        except NotExactError:
+            return False
         parts = assessment.value(self.f) + assessment.value(self.g)
         return (
             sum_value == self.sum_value
@@ -188,35 +166,31 @@ class AdditivityGap:
 def is_comonotone_additive(assessment: Assessment) -> Verdict:
     """Is ``value(f + g) = value(f) + value(g)`` on every comonotone domain pair?
 
-    Sums outside the domain are evaluated through the norm-preserving
-    natural extension, which requires the assessment to be exact; the
-    verdict's ``info`` records which pairs needed that.  The domain
-    must be a lattice.
+    Sums outside the domain are valued by ``consistency.exact_value``,
+    the norm-preserving natural extension, which requires the
+    assessment to be exact; the verdict's ``info`` records which pairs
+    needed that.  The domain must be a lattice.
     """
-    from .consistency import extension_minimum, norm
+    # loaded on demand: start-up of the choquet command never loads the programs
+    from .consistency import exact_value
 
     if assessment.lattice is None:
         raise DomainError("comonotone additivity needs a lattice-closed domain")
-    scale: Fraction | float | None = None
     extended: list[tuple[Gamble, Gamble]] = []
     for f, g in itertools.combinations(assessment.domain, 2):
         if not is_comonotone(f, g):
             continue
         total_gamble = f + g
-        if total_gamble in assessment:
-            sum_value = assessment.value(total_gamble)
-            via_extension = False
-        else:
-            if scale is None:
-                scale = norm(assessment)
-                if scale == INF:
-                    raise DomainError(
-                        f"cannot evaluate the sum of {f.values} and {g.values}: "
-                        "the assessment is not exact"
-                    )
-            sum_value = extension_minimum(assessment, total_gamble, scale)
-            via_extension = True
+        via_extension = total_gamble not in assessment
+        if via_extension:
             extended.append((f, g))
+        try:
+            sum_value = exact_value(assessment, total_gamble)
+        except NotExactError:
+            raise DomainError(
+                f"cannot evaluate the sum of {f.values} and {g.values}: "
+                "the assessment is not exact"
+            ) from None
         parts = assessment.value(f) + assessment.value(g)
         if sum_value != parts:
             return Verdict(

@@ -17,12 +17,11 @@ Two routes answer them.  An event assessment whose inner table
 on its domain and is 2-monotone by the local test on neighbouring
 events (Topkis 1998, ch. 2) is exact with norm ``P(full)``, and its
 natural extension at that total is the table's Choquet integral (de
-Cooman, Troffaes & Miranda 2008; Denneberg 1994, ch. 6).  This
-certificate, one path for every event domain, decides ``norm``,
-``is_exact`` and ``decompose``, a positive ``is_coherent`` when
-``P(full) = 1``, and the natural extensions at total ``P(full)``
-without a program.  Every other question, and every negative verdict
-with its witness, reduces to exact-rational linear programs.
+Cooman, Troffaes & Miranda 2008; Denneberg 1994, ch. 6).  Exactness
+takes this certificate or the programs in one place,
+:func:`_norm_analysis`; every valuation off the domain does in another,
+:func:`extension_minimum`.  Every other question, and every negative
+verdict with its witness, reduces to exact-rational linear programs.
 
 On the program route the norm is computed by interval intersection:
 for every domain gamble ``f0`` the achievable total masses of
@@ -64,10 +63,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import ClassVar, Iterable
 
 from . import simplex
-from .assessment import Assessment, ExactDecomposition, MassFunctional, conjugate
+from .assessment import Assessment, ExactDecomposition, MassFunctional, _telescope, conjugate
 from .errors import InfeasibleTotalError, NotExactError, SureLossError
 from .gambles import Gamble
 from .rational import common_denominator, scaled
@@ -143,12 +143,15 @@ class CoherenceGap:
     extension: Fraction
 
     def check(self, assessment: Assessment) -> bool:
-        return (
-            self.gamble in assessment
-            and assessment.value(self.gamble) == self.assessed
-            and self.extension != self.assessed
-            and natural_extension_prevision(assessment, self.gamble) == self.extension
-        )
+        try:
+            return (
+                self.gamble in assessment
+                and assessment.value(self.gamble) == self.assessed
+                and self.extension != self.assessed
+                and natural_extension_prevision(assessment, self.gamble) == self.extension
+            )
+        except SureLossError:  # no natural extension, so no gap
+            return False
 
 
 @dataclass(frozen=True)
@@ -278,12 +281,6 @@ def _certified_table(assessment: Assessment) -> list[Fraction] | None:
     return table if _locally_two_monotone(table) else None
 
 
-def _choquet_value(table: list[Fraction], gamble: Gamble) -> Fraction:
-    from .choquet import _telescope  # loaded on demand: only certified tables need it
-
-    return _telescope(table, gamble.values)[0]
-
-
 def avoids_sure_loss(assessment: Assessment) -> Verdict:
     """Is some probability mass functional above the assessment?
 
@@ -318,11 +315,11 @@ def avoids_sure_loss(assessment: Assessment) -> Verdict:
 def natural_extension_prevision(assessment: Assessment, gamble: Gamble) -> Fraction:
     """The lower envelope, at ``gamble``, of the dominating linear previsions.
 
-    One linear program: minimize the mass value of ``gamble`` over all
-    probability masses dominating the assessment on its domain.  A
-    certified 2-monotone event assessment (see
-    :func:`_certified_table`) needs none: at ``P(full) = 1`` the value
-    is the Choquet integral, and above one no probability dominates.
+    :func:`extension_minimum` at total one: the least mass value of
+    ``gamble`` over the probability masses dominating the assessment on
+    its domain, so a certified 2-monotone event assessment needs no
+    program.  Raises :class:`SureLossError` when no probability
+    dominates.
 
     >>> from .gambles import Space
     >>> s = Space(("a", "b", "c"))
@@ -331,16 +328,10 @@ def natural_extension_prevision(assessment: Assessment, gamble: Gamble) -> Fract
     >>> natural_extension_prevision(p, Gamble.make(s, [1, 1, 2]))
     Fraction(1, 1)
     """
-    table = _certified_table(assessment)
-    if table is None or table[-1] < 1:
-        _, value = _dual_program(assessment, gamble.values, ONE)
-    elif table[-1] == 1:
-        return _choquet_value(table, gamble)
-    else:
-        value = None  # the full event above one: no probability dominates
-    if value is None:
-        raise SureLossError("assessment incurs sure loss; no natural extension exists")
-    return value
+    try:
+        return extension_minimum(assessment, gamble, ONE)
+    except InfeasibleTotalError:
+        raise SureLossError("assessment incurs sure loss; no natural extension exists") from None
 
 
 def is_coherent(assessment: Assessment) -> Verdict:
@@ -383,37 +374,42 @@ def _attainment_interval(
     return low, upper
 
 
+def _exact(scale: Fraction) -> Verdict:
+    # read-only: _norm_analysis caches the verdict and hands it to every caller
+    return Verdict(True, info=MappingProxyType({"norm": scale}))
+
+
 @functools.lru_cache(maxsize=1)
-def _norm_analysis(assessment: Assessment):
-    """Shared engine behind :func:`norm` and :func:`is_exact`.
+def _norm_analysis(assessment: Assessment) -> Verdict:
+    """The :func:`is_exact` verdict, which :func:`norm` reads: the
+    certificate's, else that of the attainment intervals.
 
     Cached: assessments are immutable and the callers that chain norm,
     extension and attainment queries keep hitting the same one.  One
     entry is enough for those chains and keeps no older assessment
-    (with its index and mask table) alive.  A certified 2-monotone event
-    assessment is exact with norm ``P(full)`` and needs no program.
+    (with its index and mask table) alive.
     """
     table = _certified_table(assessment)
     if table is not None:
-        return "exact", table[-1]
+        return _exact(table[-1])
     best_low: tuple[Fraction, Gamble] | None = None
     best_high: tuple[Fraction | float, Gamble] | None = None
     for gamble, value in assessment.entries:
         interval = _attainment_interval(assessment, gamble, value)
         if interval is None:
-            return "unattainable", UnattainableGamble(gamble)
+            return Verdict(False, UnattainableGamble(gamble))
         low, high = interval
         if best_low is None or low > best_low[0]:
             best_low = (low, gamble)
         if best_high is None or high < best_high[0]:
             best_high = (high, gamble)
     if best_low is None:
-        return "exact", ZERO
+        return _exact(ZERO)
     if best_low[0] > best_high[0]:
-        return "gap", NormIntervalGap(
-            best_low[1], best_low[0], best_high[1], best_high[0]
+        return Verdict(
+            False, NormIntervalGap(best_low[1], best_low[0], best_high[1], best_high[0])
         )
-    return "exact", best_low[0]
+    return _exact(best_low[0])
 
 
 def norm(assessment: Assessment) -> Fraction | float:
@@ -423,39 +419,40 @@ def norm(assessment: Assessment) -> Fraction | float:
     constant gamble one is assessed and the assessment is exact, the
     norm equals that assessed value.
     """
-    kind, payload = _norm_analysis(assessment)
-    return payload if kind == "exact" else INF
+    verdict = _norm_analysis(assessment)
+    return verdict.info["norm"] if verdict else INF
 
 
 def is_exact(assessment: Assessment) -> Verdict:
     """Can the assessment be extended to an exact functional on all gambles?
 
     Equivalent to the norm being finite.  A positive verdict carries the
-    norm in ``info``.  A certified 2-monotone event assessment (see
-    :func:`_certified_table`) is exact with norm ``P(full)`` without
-    a program; every other assessment, and every negative verdict with
-    its witness, goes through the norm programs.
+    norm in a read-only ``info``.  A certified 2-monotone event
+    assessment (see :func:`_certified_table`) is exact with norm
+    ``P(full)`` without a program; every other assessment, and every
+    negative verdict with its witness, goes through the norm programs.
     """
-    kind, payload = _norm_analysis(assessment)
-    if kind == "exact":
-        return Verdict(True, info={"norm": payload})
-    return Verdict(False, payload)
+    return _norm_analysis(assessment)
 
 
 def extension_minimum(assessment: Assessment, gamble: Gamble, total: Fraction) -> Fraction:
     """Envelope minimum at ``gamble`` over dominators of a given total mass.
 
-    Callers that already know the norm use this to avoid recomputing
-    it; :func:`natural_extension_exact` is the checked entry point.
-    Raises :class:`InfeasibleTotalError` when no dominating mass
-    functional has that total, for instance below the norm.  At the
-    total ``P(full)`` of a certified 2-monotone event assessment the
-    minimum is the Choquet integral, found without a program.
+    The one route choice of every natural extension, whose checked
+    entry points are :func:`natural_extension_prevision` (total one) and
+    :func:`natural_extension_exact` (total the norm).  On a certified
+    table (see :func:`_certified_table`) the minimum at total
+    ``P(full)`` is its Choquet integral, and below ``P(full)`` no mass
+    dominates; every other case solves the dual program.  Raises
+    :class:`InfeasibleTotalError` when no dominating mass has the total.
     """
     table = _certified_table(assessment)
-    if table is not None and total == table[-1]:
-        return _choquet_value(table, gamble)
-    _, value = _dual_program(assessment, gamble.values, total)
+    if table is None or total > table[-1]:
+        _, value = _dual_program(assessment, gamble.values, total)
+    elif total == table[-1]:
+        return _telescope(table, gamble.values)[0]
+    else:
+        value = None  # below P(full): no dominating mass has this total
     if value is None:
         raise InfeasibleTotalError(
             f"no mass functional of total {total} dominates the assessment"

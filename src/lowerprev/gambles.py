@@ -361,18 +361,16 @@ def is_lattice_closed(gambles: Sequence[Gamble]) -> bool:
 def is_comonotone(f: Gamble, g: Gamble) -> bool:
     """Whether two gambles never order a pair of outcomes oppositely.
 
-    Equivalent to: no outcome pair with
-    ``(f(w1) - f(w2)) * (g(w1) - g(w2)) < 0``.
+    Decided by one sort: with the outcomes ordered by ``f``, ties by
+    ``g``, the values of ``g`` never decrease.
 
     >>> s = Space(("a", "b"))
     >>> is_comonotone(Gamble.make(s, [0, 1]), Gamble.make(s, [1, 0]))
     False
     """
     _require_same_space(f, g)
-    for i, j in itertools.combinations(range(f.space.size), 2):
-        if (f.values[i] - f.values[j]) * (g.values[i] - g.values[j]) < 0:
-            return False
-    return True
+    pairs = sorted(zip(f.values, g.values))
+    return all(a[1] <= b[1] for a, b in zip(pairs, pairs[1:]))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ terms of every distinct tuple, and the inversion of a set function is
 the subset-loop definition.  The library's integer simplex is compared
 with the same two-phase simplex on a ``Fraction`` tableau, and its
 integer lattice closure with the closure under ``Fraction`` meets and
-joins.
+joins; its comonotonicity test, one sort, with the pairwise definition.
 
 The consistency routes that skip the linear programs on certified
 2-monotone event assessments are compared with the program loops alone:
@@ -179,6 +179,14 @@ def fraction_is_lattice_closed(gambles: list[Gamble]) -> bool:
     return all(
         meet(a, b).values in values and join(a, b).values in values
         for a, b in itertools.combinations(gambles, 2)
+    )
+
+
+def pairwise_comonotone(f: Gamble, g: Gamble) -> bool:
+    """The definition: no outcome pair with ``(f(w1) - f(w2)) * (g(w1) - g(w2)) < 0``."""
+    return all(
+        (f.values[i] - f.values[j]) * (g.values[i] - g.values[j]) >= 0
+        for i, j in itertools.combinations(range(f.space.size), 2)
     )
 
 

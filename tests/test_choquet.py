@@ -1,7 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lowerprev import (
     Assessment,
@@ -10,6 +14,7 @@ from lowerprev import (
     Gamble,
     MassFunctional,
     Space,
+    Verdict,
     choquet_integral,
     decreasing_distribution,
     is_comonotone,
@@ -19,6 +24,7 @@ from lowerprev import (
     lattice_closure,
     meet,
     natural_extension_exact,
+    norm,
     powerset_inner,
 )
 from lowerprev.sampling import (
@@ -30,6 +36,8 @@ from lowerprev.sampling import (
     random_probability,
     random_rational,
 )
+
+from .oracles import pairwise_comonotone
 
 ZERO = F(0)
 
@@ -185,6 +193,46 @@ class TestIsComonotoneAdditive:
         p = Assessment.of(ab, {Gamble.make(ab, [1, 0]): 0, Gamble.make(ab, [0, 1]): 0})
         with pytest.raises(DomainError):
             is_comonotone_additive(p)
+
+    def test_inexact_lattice_with_an_off_domain_sum_is_rejected(self, ab):
+        # no dominating mass attains (1, 0) and (0, 1) at once; (0, 1) + (1, 1)
+        # is the first comonotone sum outside the domain
+        values = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+        p = Assessment.of(ab, {Gamble.make(ab, v): x for v, x in values.items()})
+        assert p.lattice is not None and norm(p) == math.inf
+        with pytest.raises(DomainError) as err:
+            is_comonotone_additive(p)
+        assert str(err.value) == (
+            "cannot evaluate the sum of (Fraction(0, 1), Fraction(1, 1)) and "
+            "(Fraction(1, 1), Fraction(1, 1)): the assessment is not exact"
+        )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_inexact_lattices_against_the_pairwise_walk(self, seed):
+        # arbitrary values on a gamble lattice are almost never exact: the
+        # first comonotone pair off the additivity, or off the domain, decides
+        rng = random.Random(seed)
+        space = Space(tuple("abc"[: rng.randint(2, 3)]))
+        lattice = random_gamble_lattice(rng, space, rng.randint(1, 3), include_constants=(0,))
+        p = Assessment.of(space, ((g, random_rational(rng, -2, 2, 4)) for g in lattice))
+        assume(norm(p) == math.inf)
+        for f, g in itertools.combinations(p.domain, 2):
+            if not pairwise_comonotone(f, g):
+                continue
+            if f + g not in p:
+                message = (f"cannot evaluate the sum of {f.values} and {g.values}: "
+                           "the assessment is not exact")
+                with pytest.raises(DomainError) as err:
+                    is_comonotone_additive(p)
+                assert str(err.value) == message
+                return
+            if p.value(f + g) != p.value(f) + p.value(g):
+                verdict = is_comonotone_additive(p)
+                assert not verdict.holds and (verdict.witness.f, verdict.witness.g) == (f, g)
+                assert verdict.info == {"extended_pairs": ()}
+                return
+        assert is_comonotone_additive(p) == Verdict(True, info={"extended_pairs": ()})
 
 
 class TestRepresentation:

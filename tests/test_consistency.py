@@ -36,7 +36,7 @@ from lowerprev import (
     natural_extension_prevision,
     norm,
 )
-from lowerprev import consistency
+from lowerprev import consistency, simplex
 from lowerprev.consistency import (
     CoherenceGap,
     UnattainableGamble,
@@ -853,3 +853,69 @@ def test_find_attaining_at_the_norm(tall, data):
         assert mass.total_mass == scale and all(x >= 0 for x in mass.masses)
         assert all(mass(h) >= v for h, v in p.entries)
         assert (mass(f), mass(g)) == targets
+
+
+# One valuation route: natural_extension_prevision is extension_minimum
+# at total one, and a certified table answers a total below P(full)
+# without a program.
+
+SURE_LOSS = "^assessment incurs sure loss; no natural extension exists$"
+
+
+def assert_prevision_is_the_minimum_at_one(p, g):
+    try:
+        expected = extension_minimum(p, g, F(1))
+    except InfeasibleTotalError:
+        with pytest.raises(SureLossError, match=SURE_LOSS):
+            natural_extension_prevision(p, g)
+    else:
+        assert natural_extension_prevision(p, g) == expected
+
+
+@PROPERTY
+@given(data=st.data())
+def test_prevision_is_the_minimum_at_total_one(data):
+    p = data.draw(st.one_of(event_assessments(), assessments(True), assessments(False)))
+    assert_prevision_is_the_minimum_at_one(p, data.draw(gambles_on(p.space)))
+
+
+def certified_events(rng: random.Random, full: F) -> Assessment:
+    """A completely monotone set function of total ``full``, on the power
+    set or on an event sublattice: certified either way."""
+    space = Space(tuple("abcd"[: rng.randint(1, 4)]))
+    values = random_completely_monotone(rng, space, full).by_mask
+    events = space.all_events()
+    if rng.random() < 0.5:
+        events = random_event_lattice(rng, space, rng.randint(0, 3))
+    p = Assessment.on_events(space, ((e, values[e.mask]) for e in events))
+    assert _certified_table(p) is not None
+    return p
+
+
+@pytest.mark.parametrize("full", [F(1, 2), F(1), F(3, 2)], ids=["below-one", "one", "above-one"])
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_prevision_on_certified_tables_around_one(full, seed):
+    rng = random.Random(seed)
+    p = certified_events(rng, full)
+    g = random_gamble(rng, p.space)
+    assert_prevision_is_the_minimum_at_one(p, g)
+    assert (lp_extension(p, g, F(1)) is None) == (full > 1)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_total_below_a_certified_full_event_solves_no_program(seed):
+    rng = random.Random(seed)
+    full = F(rng.randint(1, 6), rng.choice([1, 2, 3]))
+    p = certified_events(rng, full)
+    g = random_gamble(rng, p.space)
+    below = full - F(rng.randint(1, 4), rng.choice([1, 2, 5]))
+    message = f"^no mass functional of total {below} dominates the assessment$"
+    with mock.patch.object(simplex, "solve", side_effect=RuntimeError("a program was solved")):
+        with pytest.raises(InfeasibleTotalError, match=message):
+            extension_minimum(p, g, below)
+        if full > 1:
+            with pytest.raises(SureLossError, match=SURE_LOSS):
+                natural_extension_prevision(p, g)
+    assert lp_extension(p, g, below) is None

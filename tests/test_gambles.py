@@ -258,3 +258,35 @@ class TestIntegerClosureAgainstFractions:
                 closure(mixed)
         with pytest.raises(SpaceMismatchError):
             is_lattice_closed(mixed)
+
+
+# The one-sort comonotonicity test against the pairwise definition, on
+# values with many ties.
+tied_values = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+
+
+@st.composite
+def gamble_pairs(draw):
+    """Two gambles on 1-7 outcomes: drawn apart, or the second the first
+    clipped at a constant (comonotone with it), at times with two of its
+    outcomes swapped."""
+    space = Space(tuple("abcdefg"[: draw(st.integers(1, 7))]))
+    point = st.tuples(*[tied_values] * space.size).map(lambda v: Gamble(space, v))
+    f = draw(point)
+    kind = draw(st.sampled_from(["apart", "clipped", "swapped"]))
+    if kind == "apart":
+        return f, draw(point)
+    cap = draw(tied_values)
+    values = [min(x, cap) for x in f.values]
+    if kind == "swapped" and space.size > 1:
+        i, j = draw(st.permutations(range(space.size)))[:2]
+        values[i], values[j] = values[j], values[i]
+    return f, Gamble(space, tuple(values))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(gamble_pairs())
+def test_is_comonotone_matches_the_pairwise_definition(pair):
+    f, g = pair
+    assert is_comonotone(f, g) == oracles.pairwise_comonotone(f, g)
+    assert is_comonotone(g, f) == is_comonotone(f, g)

@@ -8,6 +8,7 @@ has long since loaded the whole package.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -67,8 +68,8 @@ def test_cli_module_loads_only_the_front_end(src_env):
         ("check-coherent", FIXTURES, LATTICE),
         ("attain", FIXTURES, LATTICE),
         ("natext", GAMBLE_FIXTURES, LATTICE),
-        # a certified 2-monotone event table takes the Choquet route
-        ("natext", EVENT_FIXTURES, {"monotone"}),
+        # a certified 2-monotone event table takes the Choquet route, in consistency
+        ("natext", EVENT_FIXTURES, LATTICE),
         ("nmono", FIXTURES, LP),
         ("nalt", FIXTURES, LP),
         ("mobius", FIXTURES, LP),
@@ -99,6 +100,20 @@ def test_sublattice_certificate_loads_no_monotone(src_env, tmp_path):
     for command in ("check-coherent", "norm", "natext"):
         loaded = set(_child(src_env, "-c", _CLI_RUNS, command, str(chain)).split())
         assert "consistency" in loaded and "monotone" not in loaded, (command, sorted(loaded))
+
+
+def test_consistency_never_imports_the_lattice_layers():
+    # at module level or inside a function: the programs stand alone
+    source = (ROOT / "src" / "lowerprev" / "consistency.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & LATTICE, sorted(parts & LATTICE)
 
 
 def test_every_public_name_resolves_to_its_home_object(src_env):

@@ -16,10 +16,13 @@ from fractions import Fraction as F
 import pytest
 
 from lowerprev import (
+    AdditivityGap,
     Assessment,
+    CoherenceGap,
     Event,
     Gamble,
     HomomorphismTable,
+    MassFunctional,
     Space,
     avoids_sure_loss,
     check_wedge_homomorphism,
@@ -204,6 +207,29 @@ def test_json_is_kind_plus_fields(case):
 def test_kinds_are_distinct():
     kinds = {type(case()[0]).kind for case in CASES}
     assert len(kinds) == len(CASES) - 1  # two monotonicity cases share a kind
+
+
+def test_coherence_gap_is_false_under_sure_loss():
+    # no probability dominates, so no natural extension to compare with
+    over = Assessment.of(
+        AB, {Gamble.make(AB, [1, 0]): 1, Gamble.make(AB, [0, 1]): 1, Gamble.constant(AB, 1): 1}
+    )
+    assert CoherenceGap(Gamble.make(AB, [1, 0]), F(1), F(3, 2)).check(over) is False
+
+
+def test_additivity_gap_is_false_off_an_inexact_domain():
+    # the sum (3, 0) lies off the domain, and the assessment is not exact
+    p = Assessment.of(
+        AB,
+        {Gamble.make(AB, [1, 0]): 1, Gamble.make(AB, [2, 0]): F(1, 2), Gamble.constant(AB, 1): 1},
+    )
+    gap = AdditivityGap(Gamble.make(AB, [1, 0]), Gamble.make(AB, [2, 0]), F(2), F(3, 2), True)
+    assert gap.check(p) is False
+
+
+def test_dominating_mass_is_false_on_another_space():
+    mass = MassFunctional.make(AB, [1, 0])
+    assert mass.check(Assessment.of(ABC, {Gamble.constant(ABC, 1): 1})) is False
 
 
 def test_violation_sum_keeps_report_name():
